@@ -3,6 +3,7 @@
 // as the paper's do).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,8 +26,14 @@ inline std::vector<std::uint8_t> fetch_bytes(bus::Bus& b, bus::Addr base,
 
 inline void store_words(bus::Bus& b, bus::Addr base,
                         std::span<const std::uint32_t> words) {
-  // Words are staged in the simulator's little-endian memory convention;
-  // serialise explicitly so the block path is host-endian independent.
+  // Words are staged in the simulator's little-endian memory convention:
+  // a little-endian host's words already have that layout, any other host
+  // serialises them explicitly.
+  if constexpr (std::endian::native == std::endian::little) {
+    b.poke_block(base, {reinterpret_cast<const std::uint8_t*>(words.data()),
+                        words.size() * 4});
+    return;
+  }
   std::vector<std::uint8_t> bytes(words.size() * 4);
   for (std::size_t i = 0; i < words.size(); ++i) {
     bytes[i * 4 + 0] = static_cast<std::uint8_t>(words[i]);

@@ -70,6 +70,14 @@ class Bus {
   sim::SimTime burst_write(Addr addr, std::span<const std::uint64_t> data,
                            sim::SimTime start, bool increment = true);
 
+  /// End of the bus's current reservation: a transaction requested before
+  /// it waits for it.
+  [[nodiscard]] sim::SimTime busy_until() const { return busy_until_; }
+  /// Push the reservation `by` later: what replaying a repeating run of
+  /// transactions in closed form does to the arbiter (see
+  /// rtr::detail::icap_load_loop).
+  void advance_reservation(sim::SimTime by) { busy_until_ += by; }
+
   /// Functional backdoor (no timing, no arbitration); see Slave::peek.
   [[nodiscard]] std::uint64_t peek(Addr addr, int bytes) const {
     return slave_at(addr, static_cast<std::uint64_t>(bytes)).peek(addr, bytes);

@@ -1,5 +1,7 @@
 #include "icap/icap.hpp"
 
+#include <algorithm>
+
 #include "bitstream/partial_config.hpp"
 #include "fault/fault.hpp"
 #include "sim/check.hpp"
@@ -66,15 +68,7 @@ void IcapController::handle_register_write(ConfigReg reg, std::uint32_t w) {
         fail();
         break;
       }
-      frame_buf_.push_back(w);
-      if (static_cast<int>(frame_buf_.size()) == cm_->words_per_frame()) {
-        cm_->write_frame(far_, frame_buf_);
-        frame_buf_.clear();
-        far_ = far_.next_in(cm_->device());
-        far_valid_ = far_.valid_for(cm_->device());
-        ++frames_written_;
-        stat_frames_->add();
-      }
+      append_frame_words({&w, 1});
       break;
     }
     case ConfigReg::kCmd:
@@ -111,6 +105,18 @@ void IcapController::handle_register_write(ConfigReg reg, std::uint32_t w) {
     case ConfigReg::kCrc:
       if (w != crc_.value()) fail();
       break;
+  }
+}
+
+void IcapController::append_frame_words(std::span<const std::uint32_t> run) {
+  frame_buf_.insert(frame_buf_.end(), run.begin(), run.end());
+  if (static_cast<int>(frame_buf_.size()) == cm_->words_per_frame()) {
+    cm_->write_frame(far_, frame_buf_);
+    frame_buf_.clear();
+    far_ = far_.next_in(cm_->device());
+    far_valid_ = far_.valid_for(cm_->device());
+    ++frames_written_;
+    stat_frames_->add();
   }
 }
 
@@ -176,6 +182,33 @@ void IcapController::feed_word(std::uint32_t w) {
       if (--payload_left_ == 0) expect_ = Expect::kHeader;
       break;
     }
+  }
+}
+
+void IcapController::feed(std::span<const std::uint32_t> words) {
+  const auto wpf = static_cast<std::size_t>(cm_->words_per_frame());
+  while (!words.empty()) {
+    if (error_ || !synced_ || expect_ != Expect::kPayload ||
+        payload_reg_ != ConfigReg::kFdri || !far_valid_) {
+      feed_word(words.front());
+      words = words.subspan(1);
+      continue;
+    }
+    // Inside an FDRI payload with a valid frame address: take the longest
+    // run that neither ends the packet nor overflows the current frame.
+    const std::size_t n = std::min(
+        {words.size(), static_cast<std::size_t>(payload_left_),
+         wpf - frame_buf_.size()});
+    const auto run = words.first(n);
+    for (std::uint32_t w : run) {
+      crc_.update_register_write(static_cast<std::uint32_t>(ConfigReg::kFdri),
+                                 w);
+    }
+    append_frame_words(run);
+    words_consumed_ += static_cast<std::int64_t>(n);
+    payload_left_ -= static_cast<std::uint32_t>(n);
+    if (payload_left_ == 0) expect_ = Expect::kHeader;
+    words = words.subspan(n);
   }
 }
 

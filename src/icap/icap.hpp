@@ -52,6 +52,8 @@ class IcapController : public bus::Slave {
 
   [[nodiscard]] std::string name() const override { return "OPB HWICAP"; }
   [[nodiscard]] bus::AddressRange range() const { return range_; }
+  /// Clock of the configuration datapath (data-register wait states).
+  [[nodiscard]] sim::Clock& clock() const { return *clock_; }
   /// Fabric cost of the HWICAP IP (for the resource tables).
   [[nodiscard]] fabric::Resources controller_cost() const {
     return fabric::Resources{150, 220, 180, 1};
@@ -65,10 +67,10 @@ class IcapController : public bus::Slave {
   /// peripheral, also used by tests.
   void feed_word(std::uint32_t w);
 
-  /// Feed a whole stream functionally (no timing).
-  void feed(std::span<const std::uint32_t> words) {
-    for (std::uint32_t w : words) feed_word(w);
-  }
+  /// Feed a whole stream functionally (no timing). The same end state as
+  /// a feed_word loop; FDRI payload runs move into the frame buffer one
+  /// frame-sized chunk at a time.
+  void feed(std::span<const std::uint32_t> words);
 
   /// Reset the state machine (does not touch configuration memory).
   void reset();
@@ -93,6 +95,10 @@ class IcapController : public bus::Slave {
   enum class Expect { kHeader, kType2Header, kPayload };
 
   void handle_register_write(bitstream::ConfigReg reg, std::uint32_t w);
+  /// Append FDRI words (CRC already folded in) to the frame buffer; `run`
+  /// must not overflow the frame. A full frame is written to
+  /// configuration memory and the frame address advances.
+  void append_frame_words(std::span<const std::uint32_t> run);
   void fail();
 
   sim::Simulation* sim_;

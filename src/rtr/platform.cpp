@@ -1,7 +1,9 @@
 #include "rtr/platform.hpp"
 
+#include <algorithm>
 #include <sstream>
 
+#include "apps/memio.hpp"
 #include "bitstream/partial_config.hpp"
 #include "busmacro/bus_macro.hpp"
 #include "sim/check.hpp"
@@ -37,24 +39,105 @@ std::unique_ptr<fault::FaultInjector> arm_faults(const PlatformOptions& opts,
   return fi;
 }
 
+/// Timing state of the reconfiguration loop between two words: the CPU
+/// clock and both buses' reservations, measured from it.
+struct LoopState {
+  SimTime now;
+  SimTime plb_lead;
+  SimTime opb_lead;
+};
+
+LoopState loop_state(const cpu::Kernel& k, const bus::Bus& plb,
+                     const bus::Bus& opb) {
+  return {k.now(), plb.busy_until() - k.now(), opb.busy_until() - k.now()};
+}
+
+bool is_multiple(SimTime d, const sim::Clock& c) {
+  return d.ps() % c.period().ps() == 0;
+}
+
 }  // namespace
 
 namespace detail {
 
-std::int64_t icap_load_loop(cpu::Kernel& k, Addr staging, std::int64_t words,
-                            Addr icap_data, sim::SimTime deadline) {
+std::int64_t icap_load_loop(cpu::Kernel& k, bus::Bus& opb,
+                            icap::IcapController& icap_ctl, Addr staging,
+                            std::span<const std::uint32_t> words,
+                            sim::SimTime deadline) {
+  const Addr icap_data =
+      icap_ctl.range().base + icap::IcapController::kDataReg;
+  cpu::Ppc405& cpu = k.cpu();
+  bus::Bus& plb = cpu.plb();
+  sim::Simulation& sim = opb.simulation();
+  const auto n = static_cast<std::int64_t>(words.size());
+  // The closed form needs a word's timing to be independent of its data
+  // and of anything but the clock and the two reservations: no fault can
+  // strike, no trace or log line is owed per transaction, and no cache
+  // state sits between the CPU and the stream.
+  const Addr staging_last =
+      staging + (words.empty() ? 0 : words.size() - 1) * 4;
+  const bool closed_form =
+      sim.faults() == nullptr && !sim.tracer().enabled() &&
+      !sim.logger().enabled(sim::LogLevel::kTrace) &&
+      !cpu.is_cacheable(staging) && !cpu.is_cacheable(staging_last) &&
+      !cpu.is_cacheable(icap_data);
+  sim::StatStep step;
+  bool steady = false;  // the previous word repeated its start state
+
   // for (i = 0; i < n; ++i) { w = cfg[i]; HWICAP_DATA = w; }
   k.call();
-  for (std::int64_t i = 0; i < words; ++i) {
+  for (std::int64_t i = 0; i < n; ++i) {
     if (deadline.ps() > 0 && k.now() >= deadline) {
       return i;  // watchdog: abandon the stream mid-load
     }
+    const LoopState before = loop_state(k, plb, opb);
+    // A word after a steady one repeats it: record its stat change.
+    const bool probe = closed_form && steady;
+    if (probe) step.begin(sim.stats());
+    const std::int64_t frames = icap_ctl.frames_written();
     const std::uint32_t w = k.lw(staging + static_cast<Addr>(i) * 4);
     k.sw(icap_data, w);
     k.op(2);  // index increment + compare
     k.branch();
+    if (!closed_form) continue;
+
+    // Steady state: the word took a whole number of every bus-side clock
+    // period and left both reservations where it found them relative to
+    // the CPU. Time is integer ps and every clock operation commutes with
+    // a shift by whole periods, so each later word repeats this one
+    // exactly, shifted by d.
+    const LoopState after = loop_state(k, plb, opb);
+    const SimTime d = after.now - before.now;
+    steady = after.plb_lead == before.plb_lead &&
+             after.opb_lead == before.opb_lead &&
+             is_multiple(d, plb.clock()) && is_multiple(d, opb.clock()) &&
+             is_multiple(d, icap_ctl.clock());
+    // The ICAP counts its own frames when fed in bulk, so a probe that
+    // completed a frame is not a template for the others.
+    if (!probe || !steady || icap_ctl.frames_written() != frames ||
+        !step.end()) {
+      continue;
+    }
+    // Replay the remaining words in one step. Word j of them starts at
+    // after.now + j*d; the watchdog gives up at the first start at or past
+    // the deadline.
+    std::int64_t m = n - i - 1;
+    if (deadline.ps() > 0) {
+      const std::int64_t late =
+          deadline <= after.now
+              ? 0
+              : ((deadline - after.now).ps() + d.ps() - 1) / d.ps();
+      m = std::min(m, late);
+    }
+    icap_ctl.feed(words.subspan(static_cast<std::size_t>(i + 1),
+                                static_cast<std::size_t>(m)));
+    step.repeat(m);
+    plb.advance_reservation(d * m);
+    opb.advance_reservation(d * m);
+    cpu.idle_until(after.now + d * m);
+    return i + 1 + m;
   }
-  return words;
+  return n;
 }
 
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -106,8 +189,8 @@ void account_reconfig(sim::Simulation& sim, bool differential,
 /// to mutate the staged words -- forces a local copy.
 template <typename Dock>
 void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
-                     Addr staging, Addr icap_data, Addr icap_control,
-                     Addr icap_status, cpu::Kernel& kernel,
+                     Addr staging, bus::Bus& opb,
+                     icap::IcapController& icap_ctl, cpu::Kernel& kernel,
                      const fabric::ConfigMemory& fabric_state,
                      const fabric::DynamicRegion& region,
                      const hw::BehaviorRegistry& registry, Dock& dock,
@@ -123,18 +206,18 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
 
   // Configurations are prepared offline and already resident in external
   // memory (as in the paper's flow); staging them is a host operation.
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    mem_bus.poke(staging + i * 4, words[i], 4);
-  }
+  apps::store_words(mem_bus, staging, words);
 
   // Unbind before touching the fabric: the circuit is about to disappear.
   dock.unbind();
   slot.reset();
 
   cpu::Ppc405& cpu = kernel.cpu();
-  cpu.store32(icap_control, 1);  // reset the ICAP state machine
+  const Addr icap_base = icap_ctl.range().base;
+  // Reset the ICAP state machine.
+  cpu.store32(icap_base + icap::IcapController::kControlReg, 1);
   const std::int64_t streamed =
-      icap_load_loop(kernel, staging, stats.stream_words, icap_data, deadline);
+      icap_load_loop(kernel, opb, icap_ctl, staging, words, deadline);
   if (streamed < stats.stream_words) {
     // Watchdog abort: the partial stream never reaches the done state; the
     // next load's ICAP reset discards it.
@@ -145,7 +228,8 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
                   std::to_string(stats.stream_words) + " words";
     return;
   }
-  const std::uint32_t status = cpu.load32(icap_status);
+  const std::uint32_t status =
+      cpu.load32(icap_base + icap::IcapController::kStatusReg);
   stats.finished = kernel.now();
 
   if (!(status & icap::IcapController::kStatusDone)) {
@@ -172,8 +256,8 @@ void stream_and_bind(std::span<const std::uint32_t> words, bus::Bus& mem_bus,
 template <typename Dock>
 ReconfigStats do_load(hw::BehaviorId id, int dock_width,
                       bitlinker::BitLinker& linker, bus::Bus& mem_bus,
-                      Addr staging, Addr icap_data, Addr icap_control,
-                      Addr icap_status, cpu::Kernel& kernel,
+                      Addr staging, bus::Bus& opb,
+                      icap::IcapController& icap_ctl, cpu::Kernel& kernel,
                       const fabric::ConfigMemory& fabric_state,
                       const fabric::DynamicRegion& region,
                       const hw::BehaviorRegistry& registry, Dock& dock,
@@ -192,8 +276,8 @@ ReconfigStats do_load(hw::BehaviorId id, int dock_width,
   stats.config_bytes = linked.stats.payload_bytes;
   const auto words = bitstream::serialize(*linked.config);
   stream_and_bind(std::span<const std::uint32_t>{words}, mem_bus, staging,
-                  icap_data, icap_control, icap_status, kernel, fabric_state,
-                  region, registry, dock, slot, stats, deadline);
+                  opb, icap_ctl, kernel, fabric_state, region, registry, dock,
+                  slot, stats, deadline);
   account_reconfig(mem_bus.simulation(), /*differential=*/false, stats);
   return stats;
 }
@@ -203,8 +287,8 @@ ReconfigStats do_load(hw::BehaviorId id, int dock_width,
 template <typename Dock>
 ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
                              std::int64_t config_bytes, bool differential,
-                             bus::Bus& mem_bus, Addr staging, Addr icap_data,
-                             Addr icap_control, Addr icap_status,
+                             bus::Bus& mem_bus, Addr staging, bus::Bus& opb,
+                             icap::IcapController& icap_ctl,
                              cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
@@ -214,9 +298,8 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
   ReconfigStats stats;
   stats.started = kernel.now();
   stats.config_bytes = config_bytes;
-  stream_and_bind(words, mem_bus, staging, icap_data, icap_control,
-                  icap_status, kernel, fabric_state, region, registry, dock,
-                  slot, stats, deadline);
+  stream_and_bind(words, mem_bus, staging, opb, icap_ctl, kernel,
+                  fabric_state, region, registry, dock, slot, stats, deadline);
   account_reconfig(mem_bus.simulation(), differential, stats);
   return stats;
 }
@@ -224,8 +307,8 @@ ReconfigStats do_load_stream(std::span<const std::uint32_t> words,
 /// Shared implementation of the raw-configuration load.
 template <typename Dock>
 ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
-                             bus::Bus& mem_bus, Addr staging, Addr icap_data,
-                             Addr icap_control, Addr icap_status,
+                             bus::Bus& mem_bus, Addr staging, bus::Bus& opb,
+                             icap::IcapController& icap_ctl,
                              cpu::Kernel& kernel,
                              const fabric::ConfigMemory& fabric_state,
                              const fabric::DynamicRegion& region,
@@ -236,8 +319,8 @@ ReconfigStats do_load_config(const bitstream::PartialConfig& cfg,
   return do_load_stream(std::span<const std::uint32_t>{words},
                         cfg.payload_bytes(),
                         /*differential=*/!cfg.is_complete_for(region), mem_bus,
-                        staging, icap_data, icap_control, icap_status, kernel,
-                        fabric_state, region, registry, dock, slot, deadline);
+                        staging, opb, icap_ctl, kernel, fabric_state, region,
+                        registry, dock, slot, deadline);
 }
 
 }  // namespace detail
@@ -289,20 +372,14 @@ Platform32::Platform32(PlatformOptions opts)
 }
 
 ReconfigStats Platform32::load_module(hw::BehaviorId id) {
-  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging,
-                         kIcapRange.base + icap::IcapController::kDataReg,
-                         kIcapRange.base + icap::IcapController::kControlReg,
-                         kIcapRange.base + icap::IcapController::kStatusReg,
+  return detail::do_load(id, 32, *linker_, opb_, kConfigStaging, opb_, *icap_,
                          *kernel_, fabric_, region_, registry_, *dock_,
                          module_, load_deadline_);
 }
 
 ReconfigStats Platform32::load_config(const bitstream::PartialConfig& cfg) {
   return detail::do_load_config(
-      cfg, opb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      cfg, opb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
 }
 
@@ -311,10 +388,8 @@ ReconfigStats Platform32::load_stream(std::span<const std::uint32_t> words,
                                       bool differential, int area) {
   RTR_CHECK(area == 0, "XC2VP7: area index out of range");
   return detail::do_load_stream(
-      words, config_bytes, differential, opb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      words, config_bytes, differential, opb_, kConfigStaging, opb_,
+      *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
 }
 
@@ -439,10 +514,7 @@ Platform64::Platform64(PlatformOptions opts)
 ReconfigStats Platform64::load_module(hw::BehaviorId id) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load(
-      id, 64, *linker_, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      id, 64, *linker_, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
@@ -452,10 +524,7 @@ ReconfigStats Platform64::load_module(hw::BehaviorId id) {
 ReconfigStats Platform64::load_config(const bitstream::PartialConfig& cfg) {
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_config(
-      cfg, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      cfg, plb_, kConfigStaging, opb_, *icap_, *kernel_, fabric_,
       region_, registry_, *dock_, module_, load_deadline_);
   note_fabric_write(0);
   if (stats.stream_words > 0) active_area_ = stats.ok ? 0 : -1;
@@ -468,10 +537,8 @@ ReconfigStats Platform64::load_stream(std::span<const std::uint32_t> words,
   RTR_CHECK(area >= 0 && area < area_count(), "load_stream: bad area");
   sync_area_gens();
   const ReconfigStats stats = detail::do_load_stream(
-      words, config_bytes, differential, plb_, kConfigStaging,
-      kIcapRange.base + icap::IcapController::kDataReg,
-      kIcapRange.base + icap::IcapController::kControlReg,
-      kIcapRange.base + icap::IcapController::kStatusReg, *kernel_, fabric_,
+      words, config_bytes, differential, plb_, kConfigStaging, opb_,
+      *icap_, *kernel_, fabric_,
       region(area), registry_, *dock_, slot(area), load_deadline_);
   note_fabric_write(area);
   // The dock unbinds before the fabric is touched and only a successful
@@ -587,9 +654,7 @@ ReconfigStats Platform64::load_stream_dma(std::span<const std::uint32_t> words,
     words = local;
   }
   stats.stream_words = static_cast<std::int64_t>(words.size());
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    plb_.poke(kConfigStaging + i * 4, words[i], 4);
-  }
+  apps::store_words(plb_, kConfigStaging, words);
 
   dock_->unbind();
   slot(area).reset();

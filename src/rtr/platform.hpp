@@ -91,13 +91,22 @@ struct PlatformOptions {
 
 namespace detail {
 /// Timed inner loop of the reconfiguration driver: the CPU fetches each
-/// bitstream word from memory and stores it to the HWICAP data register.
-/// A non-zero `deadline` arms the serving layer's watchdog: the loop checks
+/// bitstream word of `words` (already staged at `staging`) from memory and
+/// stores it to the data register of `icap_ctl`, which sits on `opb`. A
+/// non-zero `deadline` arms the serving layer's watchdog: the loop checks
 /// the clock between words and bails out once the deadline has passed.
-/// Returns the number of words actually streamed (== `words` when the whole
-/// bitstream went through).
-std::int64_t icap_load_loop(cpu::Kernel& k, bus::Addr staging,
-                            std::int64_t words, bus::Addr icap_data,
+/// Returns the number of words actually streamed (== words.size() when the
+/// whole bitstream went through).
+///
+/// Once the loop reaches its steady state -- one word's timing repeats
+/// exactly, shifted by its duration -- the rest of the stream is applied in
+/// one step with the same simulated result (docs/PERFORMANCE.md,
+/// "Closed-form reconfiguration streaming"). Fault injection, tracing,
+/// trace-level logging and a cacheable staging area keep the per-word loop
+/// for the whole stream.
+std::int64_t icap_load_loop(cpu::Kernel& k, bus::Bus& opb,
+                            icap::IcapController& icap_ctl, bus::Addr staging,
+                            std::span<const std::uint32_t> words,
                             sim::SimTime deadline = {});
 /// Signature + payload-hash validation (runs after the ICAP reports done).
 bool region_validates(const fabric::ConfigMemory& cm,
@@ -132,6 +141,8 @@ class Platform32 {
   [[nodiscard]] Uart& uart() { return *uart_; }
   [[nodiscard]] Gpio& gpio() { return *gpio_; }
   [[nodiscard]] icap::IcapController& icap_ctl() { return *icap_; }
+  /// The OPB (the HWICAP's bus); the PLB is cpu().plb().
+  [[nodiscard]] bus::OpbBus& opb() { return opb_; }
   [[nodiscard]] const fabric::DynamicRegion& region() const { return region_; }
   [[nodiscard]] bitlinker::BitLinker& linker() { return *linker_; }
   [[nodiscard]] const fabric::ConfigMemory& fabric_state() const { return fabric_; }
@@ -276,6 +287,8 @@ class Platform64 {
   [[nodiscard]] mem::MemorySlave& ext_mem() { return *ddr_; }
   [[nodiscard]] Uart& uart() { return *uart_; }
   [[nodiscard]] icap::IcapController& icap_ctl() { return *icap_; }
+  /// The OPB (the HWICAP's bus); the PLB is cpu().plb().
+  [[nodiscard]] bus::OpbBus& opb() { return opb_; }
   [[nodiscard]] cpu::InterruptController& intc() { return *intc_; }
   [[nodiscard]] dma::DmaEngine& dma() { return *dma_; }
   [[nodiscard]] const fabric::DynamicRegion& region() const { return region_; }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "apps/memio.hpp"
 #include "bitstream/partial_config.hpp"
 #include "busmacro/bus_macro.hpp"
 #include "sim/check.hpp"
@@ -81,16 +82,13 @@ ReconfigStats Platform64Dual::load_module(int region, hw::BehaviorId id) {
   stats.stream_words = static_cast<std::int64_t>(words.size());
   stats.config_bytes = linked.stats.payload_bytes;
   const bus::Addr staging = r == 0 ? kConfigStagingA : kConfigStagingB;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    plb_.poke(staging + i * 4, words[i], 4);
-  }
+  apps::store_words(plb_, staging, words);
 
   docks_[r]->unbind();
   modules_[r].reset();
 
   cpu_->store32(kIcapRange.base + icap::IcapController::kControlReg, 1);
-  detail::icap_load_loop(*kernel_, staging, stats.stream_words,
-                         kIcapRange.base + icap::IcapController::kDataReg);
+  detail::icap_load_loop(*kernel_, opb_, *icap_, staging, words);
   const std::uint32_t status =
       cpu_->load32(kIcapRange.base + icap::IcapController::kStatusReg);
   stats.finished = kernel_->now();

@@ -49,6 +49,8 @@ class Platform64Dual {
   [[nodiscard]] cpu::InterruptController& intc() { return *intc_; }
   [[nodiscard]] dma::DmaEngine& dma() { return *dma_; }
   [[nodiscard]] icap::IcapController& icap_ctl() { return *icap_; }
+  /// The OPB (the HWICAP's bus); the PLB is cpu().plb().
+  [[nodiscard]] bus::OpbBus& opb() { return opb_; }
   [[nodiscard]] const fabric::ConfigMemory& fabric_state() const { return fabric_; }
 
   [[nodiscard]] dock::PlbDock& dock(int region) { return *docks_[check(region)]; }

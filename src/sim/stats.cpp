@@ -69,6 +69,15 @@ void Histogram::merge(const Histogram& o) {
   max_ = std::max(max_, o.max_);
 }
 
+void Histogram::add_repeated(const Histogram& from, const Histogram& to,
+                             std::int64_t n) {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    buckets_[b] += (to.buckets_[b] - from.buckets_[b]) * n;
+  }
+  count_ += (to.count_ - from.count_) * n;
+  sum_ += (to.sum_ - from.sum_) * n;
+}
+
 double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double target =
@@ -105,6 +114,59 @@ void StatRegistry::merge(const StatRegistry& other) {
   for (const auto& [k, v] : other.accs_) accs_[k].merge(v);
   for (const auto& [k, v] : other.busy_) busy_[k].merge(v);
   for (const auto& [k, v] : other.hists_) hists_[k].merge(v);
+}
+
+void StatStep::begin(StatRegistry& reg) {
+  reg_ = &reg;
+  counters_.clear();
+  busy_.clear();
+  acc_counts_.clear();
+  hists_.clear();
+  for (const auto& [k, v] : reg.counters_) counters_.push_back(v.value());
+  for (const auto& [k, v] : reg.busy_) busy_.push_back(v.total());
+  for (const auto& [k, v] : reg.accs_) acc_counts_.push_back(v.count());
+  for (const auto& [k, v] : reg.hists_) hists_.push_back(v);
+}
+
+bool StatStep::end() {
+  StatRegistry& reg = *reg_;
+  if (reg.counters_.size() != counters_.size() ||
+      reg.busy_.size() != busy_.size() ||
+      reg.accs_.size() != acc_counts_.size() ||
+      reg.hists_.size() != hists_.size()) {
+    return false;  // the step created a stat
+  }
+  std::size_t i = 0;
+  for (const auto& [k, v] : reg.accs_) {
+    if (v.count() != acc_counts_[i++]) return false;
+  }
+  counter_steps_.clear();
+  busy_steps_.clear();
+  hist_steps_.clear();
+  i = 0;
+  for (auto& [k, v] : reg.hists_) {
+    const Histogram& before = hists_[i++];
+    if (v.count() == before.count()) continue;
+    if (!v.same_extremes(before)) return false;
+    hist_steps_.push_back(HistStep{&v, before, v});
+  }
+  i = 0;
+  for (auto& [k, v] : reg.counters_) {
+    const std::int64_t d = v.value() - counters_[i++];
+    if (d != 0) counter_steps_.emplace_back(&v, d);
+  }
+  i = 0;
+  for (auto& [k, v] : reg.busy_) {
+    const SimTime d = v.total() - busy_[i++];
+    if (d.ps() != 0) busy_steps_.emplace_back(&v, d);
+  }
+  return true;
+}
+
+void StatStep::repeat(std::int64_t n) const {
+  for (const auto& [c, d] : counter_steps_) c->add(d * n);
+  for (const auto& [b, d] : busy_steps_) b->add(SimTime::zero(), d * n);
+  for (const HistStep& h : hist_steps_) h.target->add_repeated(h.from, h.to, n);
 }
 
 void StatRegistry::print(std::ostream& os) const {

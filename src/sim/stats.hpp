@@ -13,6 +13,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/time.hpp"
 
@@ -111,6 +113,17 @@ class Histogram {
   /// Fold another histogram in (exact: buckets add).
   void merge(const Histogram& o);
 
+  /// Add `n` copies of the samples `to` holds beyond `from` (an earlier
+  /// copy of the same histogram): count, sum and buckets scale exactly.
+  /// Min and max stay as they are, so the caller must know that those
+  /// samples did not move them.
+  void add_repeated(const Histogram& from, const Histogram& to,
+                    std::int64_t n);
+  /// True when both histograms have the same min and max.
+  [[nodiscard]] bool same_extremes(const Histogram& o) const {
+    return min_ == o.min_ && max_ == o.max_;
+  }
+
  private:
   std::array<std::int64_t, kBuckets> buckets_{};
   std::int64_t count_ = 0;
@@ -165,10 +178,42 @@ class StatRegistry {
   void export_csv(std::ostream& os) const;
 
  private:
+  friend class StatStep;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Accumulator> accs_;
   std::map<std::string, BusyTime> busy_;
   std::map<std::string, Histogram> hists_;
+};
+
+/// The change one step of a loop makes to a registry, recorded so that a
+/// step known to repeat exactly can be applied `n` more times with integer
+/// adds instead of being re-run. Only integer state replays: a step that
+/// creates a stat, samples an Accumulator (floating-point moments do not
+/// scale) or moves a Histogram's min/max cannot be recorded.
+class StatStep {
+ public:
+  /// Snapshot `reg`; call right before the step.
+  void begin(StatRegistry& reg);
+  /// Diff the registry against the snapshot; call right after the step.
+  /// False when the step cannot be replayed.
+  bool end();
+  /// Apply the recorded change `n` more times (after end() returned true).
+  void repeat(std::int64_t n) const;
+
+ private:
+  StatRegistry* reg_ = nullptr;
+  std::vector<std::int64_t> counters_;
+  std::vector<SimTime> busy_;
+  std::vector<std::int64_t> acc_counts_;
+  std::vector<Histogram> hists_;
+  std::vector<std::pair<Counter*, std::int64_t>> counter_steps_;
+  std::vector<std::pair<BusyTime*, SimTime>> busy_steps_;
+  struct HistStep {
+    Histogram* target;
+    Histogram from;
+    Histogram to;
+  };
+  std::vector<HistStep> hist_steps_;
 };
 
 }  // namespace rtr::sim

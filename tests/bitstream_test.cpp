@@ -36,6 +36,25 @@ TEST(Crc32, WordFeedingMatchesByteFeeding) {
   EXPECT_EQ(a.value(), b.value());
 }
 
+TEST(Crc32, SlicedUpdatesMatchByteFeedingOnRandomWords) {
+  sim::Rng rng{2006};
+  Crc32 words, regs, bytes;
+  for (int i = 0; i < 4096; ++i) {
+    const std::uint32_t reg = rng.next_u32();
+    const std::uint32_t w = rng.next_u32();
+    words.update_word(reg);
+    words.update_word(w);
+    regs.update_register_write(reg, w);
+    for (const std::uint32_t v : {reg, w}) {
+      for (int b = 0; b < 4; ++b) {
+        bytes.update_byte(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    }
+    ASSERT_EQ(words.value(), bytes.value()) << "after word pair " << i;
+    ASSERT_EQ(regs.value(), bytes.value()) << "after word pair " << i;
+  }
+}
+
 TEST(Crc32, RegisterAddressAffectsCrc) {
   Crc32 a, b;
   a.update_register_write(2, 0x1234);

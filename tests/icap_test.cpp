@@ -196,5 +196,103 @@ TEST(IcapTest, ReconfigurationTimeScale) {
   EXPECT_LT(t, SimTime::from_ms(15));
 }
 
+// --- bulk feed ---------------------------------------------------------------
+
+void expect_same_fsm(IcapFixture& a, IcapFixture& b) {
+  EXPECT_EQ(a.icap.synced(), b.icap.synced());
+  EXPECT_EQ(a.icap.error(), b.icap.error());
+  EXPECT_EQ(a.icap.done(), b.icap.done());
+  EXPECT_EQ(a.icap.readback_armed(), b.icap.readback_armed());
+  EXPECT_EQ(a.icap.frames_written(), b.icap.frames_written());
+  EXPECT_EQ(a.icap.words_consumed(), b.icap.words_consumed());
+  EXPECT_EQ(a.sim.stats().counter("icap.frames").value(),
+            b.sim.stats().counter("icap.frames").value());
+  EXPECT_EQ(ConfigMemory::diff_frames(a.fabric_state, b.fabric_state), 0);
+}
+
+/// Feed `words` through `bulk`'s feed(span) -- in chunks split at `cuts` --
+/// and through a feed_word loop on a fresh fixture; both must end in the
+/// same state.
+void expect_bulk_matches_word_loop(std::span<const std::uint32_t> words,
+                                   std::vector<std::size_t> cuts,
+                                   IcapFixture& bulk) {
+  IcapFixture loop;
+  std::size_t at = 0;
+  for (std::size_t cut : cuts) {
+    bulk.icap.feed(words.subspan(at, cut - at));
+    at = cut;
+  }
+  bulk.icap.feed(words.subspan(at));
+  for (std::uint32_t w : words) loop.icap.feed_word(w);
+  expect_same_fsm(bulk, loop);
+}
+
+TEST(IcapBulkFeed, GoodStreamMatchesWordLoop) {
+  IcapFixture fx;
+  const auto words = fx.linked_words();
+  expect_bulk_matches_word_loop(words, {}, fx);
+  EXPECT_TRUE(fx.icap.done());
+  EXPECT_EQ(fx.icap.frames_written(), fx.region.covered_frames());
+}
+
+TEST(IcapBulkFeed, CorruptedFdriWordMatchesWordLoop) {
+  IcapFixture fx;
+  auto words = fx.linked_words();
+  words[words.size() / 2] ^= 0x10;  // inside the frame data: CRC error
+  expect_bulk_matches_word_loop(words, {}, fx);
+  EXPECT_TRUE(fx.icap.error());
+  EXPECT_FALSE(fx.icap.done());
+}
+
+TEST(IcapBulkFeed, StreamCutMidFrameMatchesWordLoop) {
+  IcapFixture fx;
+  const auto words = fx.linked_words();
+  const std::size_t header_words = 2 + 2 + 2 + 2 + 2 + 1 + 1;
+  for (std::size_t len : {header_words + 10, words.size() / 2 + 3}) {
+    IcapFixture bulk;
+    expect_bulk_matches_word_loop(std::span{words}.first(len), {}, bulk);
+    EXPECT_FALSE(bulk.icap.done());
+  }
+}
+
+TEST(IcapBulkFeed, FarRunLeavingTheDeviceMatchesWordLoop) {
+  using bitstream::make_type1;
+  using bitstream::make_type2;
+  using bitstream::Opcode;
+  IcapFixture fx;
+  const Device& dev = fx.region.device();
+  // The second-to-last frame in scan order: a three-frame FDRI payload
+  // from there runs off the device after two frames.
+  fabric::FrameAddress prev{}, last{};
+  for (fabric::FrameAddress a{}; a.valid_for(dev); a = a.next_in(dev)) {
+    prev = last;
+    last = a;
+  }
+  const auto wpf = static_cast<std::uint32_t>(dev.words_per_frame());
+  std::vector<std::uint32_t> words = {
+      bitstream::kDummyWord,
+      bitstream::kSyncWord,
+      make_type1(Opcode::kWrite, bitstream::ConfigReg::kIdcode, 1),
+      bitstream::idcode_for(dev),
+      make_type1(Opcode::kWrite, bitstream::ConfigReg::kFar, 1),
+      prev.pack(),
+      make_type1(Opcode::kWrite, bitstream::ConfigReg::kCmd, 1),
+      static_cast<std::uint32_t>(bitstream::Command::kWcfg),
+      make_type1(Opcode::kWrite, bitstream::ConfigReg::kFdri, 0),
+      make_type2(Opcode::kWrite, 3 * wpf)};
+  for (std::uint32_t i = 0; i < 3 * wpf; ++i) words.push_back(0x1000 + i);
+  expect_bulk_matches_word_loop(words, {}, fx);
+  EXPECT_TRUE(fx.icap.error());
+  EXPECT_EQ(fx.icap.frames_written(), 2);
+}
+
+TEST(IcapBulkFeed, StreamFedInThreeChunksMatchesWordLoop) {
+  IcapFixture fx;
+  const auto words = fx.linked_words(9);
+  // One cut inside the header, one inside a frame's payload.
+  expect_bulk_matches_word_loop(words, {7, words.size() / 2 + 17}, fx);
+  EXPECT_TRUE(fx.icap.done());
+}
+
 }  // namespace
 }  // namespace rtr::icap

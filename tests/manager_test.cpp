@@ -3,12 +3,16 @@
 // modules loaded through differentials.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
 #include "apps/memio.hpp"
 #include "bitstream/partial_config.hpp"
 #include "rtr/manager.hpp"
+#include "rtr/plan_cache.hpp"
 #include "rtr/platform.hpp"
+#include "rtr/platform_dual.hpp"
 
 namespace rtr {
 namespace {
@@ -253,6 +257,231 @@ TEST(ManagerPlanCache, ExternalFabricWriteFailsTheGenerationTag) {
   EXPECT_GT(
       p.sim().stats().counter("rtr.plan_cache.gen_invalidations").value(), 0);
   EXPECT_EQ(p.region().scan_signature(p.fabric_state()), hw::kFade);
+}
+
+// --- closed-form ICAP streaming ----------------------------------------------
+// The CPU-fed reconfiguration loop replays its steady state in one step
+// unless something needs every word (here: an enabled tracer). Each case
+// runs the same loads on two identical platforms, one kept on the per-word
+// loop, and demands identical results down to the stats export.
+
+/// A tracer that forces the per-word loop without keeping its events.
+struct PerWordTracer {
+  trace::Tracer t;
+  PerWordTracer() {
+    t.enable();
+    t.set_store_events(false);
+  }
+};
+
+PlatformOptions with_areas(int areas, trace::Tracer* tracer = nullptr) {
+  PlatformOptions o;
+  o.dynamic_areas = areas;
+  o.tracer = tracer;
+  return o;
+}
+
+std::string stats_json(sim::Simulation& s) {
+  std::ostringstream os;
+  s.stats().export_json(os);
+  return os.str();
+}
+
+void expect_same_load(const ReconfigStats& fast, const ReconfigStats& slow) {
+  EXPECT_EQ(fast.started, slow.started);
+  EXPECT_EQ(fast.finished, slow.finished);
+  EXPECT_EQ(fast.stream_words, slow.stream_words);
+  EXPECT_EQ(fast.ok, slow.ok);
+  EXPECT_EQ(fast.error, slow.error);
+}
+
+template <typename P>
+void expect_same_platform(P& fast, P& slow) {
+  EXPECT_EQ(fast.kernel().now(), slow.kernel().now());
+  EXPECT_EQ(fast.sim().horizon(), slow.sim().horizon());
+  EXPECT_EQ(fast.cpu().plb().busy_until(), slow.cpu().plb().busy_until());
+  EXPECT_EQ(fast.opb().busy_until(), slow.opb().busy_until());
+  EXPECT_EQ(fabric::ConfigMemory::diff_frames(fast.fabric_state(),
+                                              slow.fabric_state()),
+            0);
+  EXPECT_EQ(stats_json(fast.sim()), stats_json(slow.sim()));
+}
+
+/// Per area: a cached complete plan, a freshly serialised differential, a
+/// cached differential; then a freshly linked complete load of area 0.
+template <typename P>
+std::vector<ReconfigStats> load_sequence(P& p, int width) {
+  PlanCache plans;
+  std::string err;
+  std::vector<ReconfigStats> out;
+  for (int a = 0; a < p.area_count(); ++a) {
+    const auto* full =
+        plans.complete(p.linker(a), hw::kBrightness, width, &err, nullptr, a);
+    const auto* there = plans.differential(p.linker(a), hw::kBrightness,
+                                           hw::kFade, width, &err, nullptr, a);
+    const auto* back = plans.differential(p.linker(a), hw::kFade,
+                                          hw::kBrightness, width, &err,
+                                          nullptr, a);
+    RTR_CHECK(full && there && back, "plan build failed");
+    out.push_back(p.load_stream(full->words, full->payload_bytes, false, a));
+    out.push_back(p.load_config(there->config));
+    out.push_back(p.load_stream(back->words, back->payload_bytes, true, a));
+  }
+  out.push_back(p.load_module(hw::kJenkinsHash));
+  return out;
+}
+
+template <typename P>
+void expect_equivalent_loads(int areas) {
+  PerWordTracer tr;
+  P fast{with_areas(areas)};
+  P slow{with_areas(areas, &tr.t)};
+  const int width = Width<P>::v;
+  const auto a = load_sequence(fast, width);
+  const auto b = load_sequence(slow, width);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("load " + std::to_string(i));
+    EXPECT_TRUE(a[i].ok) << a[i].error;
+    expect_same_load(a[i], b[i]);
+  }
+  expect_same_platform(fast, slow);
+}
+
+TEST(ClosedFormStreaming, Platform64OneAreaMatchesPerWordLoop) {
+  expect_equivalent_loads<Platform64>(1);
+}
+
+TEST(ClosedFormStreaming, Platform64TwoAreasMatchesPerWordLoop) {
+  expect_equivalent_loads<Platform64>(2);
+}
+
+TEST(ClosedFormStreaming, Platform32MatchesPerWordLoop) {
+  expect_equivalent_loads<Platform32>(1);
+}
+
+TEST(ClosedFormStreaming, DualPlatformMatchesPerWordLoop) {
+  // The dual system only loads freshly linked complete configurations.
+  PerWordTracer tr;
+  Platform64Dual fast;
+  Platform64Dual slow{with_areas(1, &tr.t)};
+  for (const auto& [region, id] :
+       {std::pair{0, hw::kBrightness}, std::pair{1, hw::kFade},
+        std::pair{0, hw::kJenkinsHash}}) {
+    const ReconfigStats a = fast.load_module(region, id);
+    const ReconfigStats b = slow.load_module(region, id);
+    EXPECT_TRUE(a.ok) << a.error;
+    expect_same_load(a, b);
+  }
+  expect_same_platform(fast, slow);
+}
+
+TEST(ClosedFormStreaming, ManagerSwapsMatchPerWordLoop) {
+  PerWordTracer tr;
+  Platform64 fast{with_areas(2)};
+  Platform64 slow{with_areas(2, &tr.t)};
+  ModuleManager<Platform64> mf{fast};
+  ModuleManager<Platform64> ms{slow};
+  for (const hw::BehaviorId id :
+       {hw::kBrightness, hw::kFade, hw::kJenkinsHash, hw::kBrightness,
+        hw::kSha1, hw::kFade, hw::kJenkinsHash, hw::kFade}) {
+    const EnsureStats a = mf.ensure(id, 64);
+    const EnsureStats b = ms.ensure(id, 64);
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.stream_words, b.stream_words);
+    EXPECT_EQ(a.used_differential, b.used_differential);
+    EXPECT_EQ(a.plan_cached, b.plan_cached);
+  }
+  expect_same_platform(fast, slow);
+}
+
+/// Start time of every word of the next CPU-fed load: the issue time of
+/// its staging read on the PLB, taken from a per-word run's bus trace.
+struct WordStarts {
+  trace::Tracer t;
+  std::vector<sim::SimTime> at;
+  WordStarts(bus::Addr staging, std::size_t words) {
+    t.enable();
+    t.set_store_events(false);
+    t.set_observer([this, staging, words](const trace::TraceEvent& ev) {
+      const auto addr = static_cast<bus::Addr>(ev.arg_value);
+      if (ev.name == "rd" && t.tracks()[static_cast<std::size_t>(ev.track)] ==
+                                 "PLB" &&
+          addr >= staging && addr < staging + words * 4) {
+        at.push_back(sim::SimTime{ev.ts_ps});
+      }
+    });
+  }
+};
+
+template <typename P>
+class WatchdogBoundary : public ::testing::Test {};
+TYPED_TEST_SUITE(WatchdogBoundary, BothPlatforms);
+
+TYPED_TEST(WatchdogBoundary, ClosedFormAbortsAtTheSameWordAsThePerWordLoop) {
+  using P = TypeParam;
+  const int width = Width<P>::v;
+  // The load under test: brightness -> fade, as a cached differential,
+  // after a complete load of brightness.
+  PlanCache plans;
+  std::string err;
+  P ref_host;
+  const auto* full = plans.complete(ref_host.linker(0), hw::kBrightness,
+                                    width, &err, nullptr, 0);
+  const auto* diff = plans.differential(ref_host.linker(0), hw::kBrightness,
+                                        hw::kFade, width, &err, nullptr, 0);
+  ASSERT_TRUE(full && diff) << err;
+  const std::size_t n = diff->words.size();
+
+  WordStarts starts{P::kConfigStaging, n};
+  ReconfigStats whole;
+  {
+    P ref{with_areas(1, &starts.t)};
+    ASSERT_TRUE(ref.load_stream(full->words, full->payload_bytes, false).ok);
+    starts.at.clear();
+    whole = ref.load_stream(diff->words, diff->payload_bytes, true);
+    ASSERT_TRUE(whole.ok) << whole.error;
+  }
+  ASSERT_EQ(starts.at.size(), n);
+
+  const auto abort_at = [&](sim::SimTime deadline) {
+    PerWordTracer tr;
+    P fast;
+    P slow{with_areas(1, &tr.t)};
+    std::pair<ReconfigStats, ReconfigStats> out;
+    for (P* p : {&fast, &slow}) {
+      EXPECT_TRUE(p->load_stream(full->words, full->payload_bytes, false).ok);
+      p->set_load_deadline(deadline);
+      (p == &fast ? out.first : out.second) =
+          p->load_stream(diff->words, diff->payload_bytes, true);
+    }
+    expect_same_load(out.first, out.second);
+    EXPECT_EQ(out.first.watchdog, out.second.watchdog);
+    expect_same_platform(fast, slow);
+    return out.first;
+  };
+  const auto expect_abort_after = [&](sim::SimTime deadline,
+                                      std::size_t streamed) {
+    SCOPED_TRACE("deadline " + deadline.to_string());
+    const ReconfigStats s = abort_at(deadline);
+    EXPECT_TRUE(s.watchdog);
+    EXPECT_EQ(s.error, "watchdog: load deadline expired after " +
+                           std::to_string(streamed) + "/" +
+                           std::to_string(n) + " words");
+  };
+
+  const std::size_t mid = n / 2;
+  const sim::SimTime ps{1};
+  expect_abort_after(starts.at[0] - ps, 0);       // before the first word
+  expect_abort_after(starts.at[1] + ps, 2);       // inside the warm-up
+  expect_abort_after(starts.at[mid], mid);        // at a word's start
+  expect_abort_after(starts.at[mid] + ps, mid + 1);  // 1 ps after it
+  expect_abort_after(starts.at[n - 1], n - 1);    // at the last word
+  const ReconfigStats past = abort_at(whole.finished + ps);  // past the end
+  EXPECT_TRUE(past.ok) << past.error;
+  EXPECT_FALSE(past.watchdog);
+  EXPECT_EQ(past.finished, whole.finished);
 }
 
 }  // namespace

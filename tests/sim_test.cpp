@@ -1,6 +1,7 @@
 // Unit tests for the simulation kernel: time, clocks, events, stats, RNG.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -296,6 +297,56 @@ TEST(Stats, RegistryMergeFoldsByName) {
   EXPECT_EQ(a.histogram("serve.latency_ps").sum(), 400);
   EXPECT_EQ(a.busy("ICAP").total(), SimTime::from_ns(15));
   EXPECT_EQ(a.accumulator("x").count(), 1);
+}
+
+TEST(Stats, StatStepRepeatEqualsRerunningTheStep) {
+  // One step of a loop: two counters, a busy interval and two histogram
+  // samples whose values the registry has already seen.
+  const auto step = [](StatRegistry& r) {
+    r.counter("bus.txn").add(3);
+    r.counter("cpu.loads").add();
+    r.busy("bus.busy").add(SimTime::from_ns(0), SimTime::from_ns(70));
+    r.histogram("bus.latency_ps").sample(70'000);
+    r.histogram("bus.latency_ps").sample(40'000);
+  };
+  StatRegistry rerun, replayed;
+  for (StatRegistry* r : {&rerun, &replayed}) {
+    r->counter("idle").add(9);
+    r->accumulator("occupancy").sample(1.5);
+    step(*r);
+  }
+  for (int i = 0; i < 5; ++i) step(rerun);
+
+  StatStep rec;
+  rec.begin(replayed);
+  step(replayed);
+  ASSERT_TRUE(rec.end());
+  rec.repeat(4);
+  std::ostringstream a, b;
+  rerun.export_json(a);
+  replayed.export_json(b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(Stats, StatStepRefusesStepsThatDoNotScale) {
+  const auto refused = [](auto&& step) {
+    StatRegistry r;
+    r.counter("c").add();
+    r.accumulator("a").sample(1.0);
+    r.histogram("h").sample(10);
+    StatStep rec;
+    rec.begin(r);
+    step(r);
+    return !rec.end();
+  };
+  EXPECT_TRUE(refused([](StatRegistry& r) { r.counter("new").add(); }));
+  EXPECT_TRUE(refused([](StatRegistry& r) { r.accumulator("a").sample(1.0); }));
+  EXPECT_TRUE(refused([](StatRegistry& r) { r.histogram("h").sample(20); }));
+  EXPECT_TRUE(refused([](StatRegistry& r) { r.histogram("h").sample(5); }));
+  EXPECT_FALSE(refused([](StatRegistry& r) {
+    r.counter("c").add();
+    r.histogram("h").sample(10);
+  }));
 }
 
 TEST(Stats, BusyTimeUtilisation) {
