@@ -16,24 +16,13 @@ using sim::SimTime;
 
 namespace {
 
-/// Build the platform's fault injector from its options: the explicit plan
-/// plus the corrupt_config_word CLI shim. Null when nothing is scheduled,
-/// so the components' injection points stay on their fast path.
+/// Build the platform's fault injector from its fault plan. Null when
+/// nothing is scheduled, so the components' injection points stay on their
+/// fast path.
 std::unique_ptr<fault::FaultInjector> arm_faults(const PlatformOptions& opts,
                                                  sim::Simulation& sim) {
-  fault::FaultPlan plan = opts.fault_plan;
-  if (opts.corrupt_config_word >= 0) {
-    // Shim: flip bit 8 of staged word `corrupt_config_word` on every load.
-    fault::FaultSpec s;
-    s.site = fault::Site::kConfigStorage;
-    s.kind = fault::TriggerKind::kStuck;
-    s.n = 0;
-    s.word = opts.corrupt_config_word;
-    s.mask = 0x0100;
-    plan.add(s);
-  }
-  if (plan.empty()) return nullptr;
-  auto fi = std::make_unique<fault::FaultInjector>(std::move(plan));
+  if (opts.fault_plan.empty()) return nullptr;
+  auto fi = std::make_unique<fault::FaultInjector>(opts.fault_plan);
   fi->bind(sim);
   sim.attach_faults(*fi);
   return fi;

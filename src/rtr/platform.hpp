@@ -71,12 +71,6 @@ struct PlatformOptions {
   /// Scheduled faults along the reconfiguration path (storage, ICAP, DMA,
   /// bus, readback). See fault/fault.hpp for sites, triggers and seeding.
   fault::FaultPlan fault_plan;
-  /// CLI-compat shim for fault_plan: when >= 0, equivalent to adding
-  /// "storage:stuck@0" with word=index, mask=0x0100 -- the staged
-  /// configuration's word at this index gets bit 8 flipped before every
-  /// load (storage corruption; the ICAP's CRC must catch it). Prefer
-  /// fault_plan for new code.
-  std::int64_t corrupt_config_word = -1;
   /// External tracer to record against (CLI --trace-out, benches, examples).
   /// When null the simulation uses its own disabled instance; the tracer
   /// must outlive the platform.

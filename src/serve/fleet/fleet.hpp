@@ -1,23 +1,30 @@
 // FleetServer: fleet-scale serving across N simulated devices.
 //
-// A fleet run has three phases, and the phase boundaries are what make it
-// deterministic at any host worker count (docs/SERVING.md, "Fleet"):
+// One runner serves every fleet, and its serial/parallel boundaries are
+// what make it deterministic at any host worker count (docs/SERVING.md,
+// "Fleet"):
 //
 //   1. generate: an open-loop arrival stream -- Zipf-popular behaviours,
 //      seeded interarrival gaps, globally ordered request ids. Ids are
 //      assigned *before* routing, so a request's input seed (and therefore
 //      its digest) is invariant under every routing policy: the A/B swap
 //      comparison compares identical work.
-//   2. route: the FleetRouter serially assigns every arrival to a shard
-//      (affinity first, stealing after; see router.hpp). Output: one
-//      request script per shard, sorted by submission time.
-//   3. serve + merge: each shard is a fresh Platform + TaskServer (its own
-//      ModuleManager, plan cache, breakers, watchdogs) replaying its
-//      script open-loop on its own simulated clock. Shards share nothing,
-//      so they run on a host thread pool; results land in slots fixed by
-//      shard index and the per-shard registries merge serially in index
-//      order (StatRegistry::merge of accumulators is order-sensitive in
-//      the last floating-point bit).
+//   2. per epoch (the whole stream is one epoch when the health tracker is
+//      off; docs/FLEET_HEALTH.md):
+//      a. route: the FleetRouter serially assigns pending re-dispatches,
+//         then the epoch's arrivals, to shards (affinity first, stealing
+//         after; see router.hpp). Output: one script per shard, sorted by
+//         submission time.
+//      b. serve: each shard is a persistent Platform + TaskServer (its own
+//         ModuleManager, plan cache, breakers, watchdogs) replaying its
+//         script open-loop on its own simulated clock. Shards share
+//         nothing, so they run on the host worker pool
+//         (sim::for_each_slot), results in slots fixed by shard index.
+//      c. collect + tick (tracker on only): each shard's completion
+//         signals feed the HealthTracker serially, in shard order.
+//   3. merge: the per-shard registries merge serially in index order
+//      (StatRegistry::merge of accumulators is order-sensitive in the last
+//      floating-point bit).
 #pragma once
 
 #include <cstdint>
@@ -52,16 +59,17 @@ struct FleetOptions {
   BatchPolicy batch;
   int jobs = 1;                     // host worker threads for shard runs
   std::uint64_t seed = 1;
-  /// Device failure model (docs/FLEET_HEALTH.md). Disabled keeps the
-  /// legacy single-pass fleet byte-for-bit.
+  /// Device failure model (docs/FLEET_HEALTH.md). Disabled, the whole
+  /// stream is served as one epoch and no health signal is collected.
   HealthPolicy health;
   /// Chaos plan shared across the fleet: each shard arms the slice
   /// FaultPlan::for_device(shard index) -- device-scoped specs
   /// ("site:trigger:seed:device") hit only that shard.
   fault::FaultPlan fault_plan;
-  /// Health runner only: repair every shard's armed faults at the start of
-  /// this epoch (models field repair; -1 = never). The
-  /// quarantine-then-recover chaos scenario keys off this.
+  /// Repair every shard's armed faults at the start of this epoch (models
+  /// field repair; -1 = never). The quarantine-then-recover chaos scenario
+  /// keys off this. With the tracker off a run is one epoch, so only 0
+  /// could fire there.
   int repair_at_epoch = -1;
   /// Per-shard SLO engines (serve/slo.hpp); burn alerts feed the health
   /// score as w_slo_breach signals.
@@ -111,7 +119,7 @@ struct FleetReport {
   std::int64_t failed = 0;
   std::int64_t swaps = 0;
   bool digests_ok = true;
-  // Health runner only (zero / empty when health is disabled):
+  // Health tracker only (zero / empty when health is disabled):
   std::int64_t redispatched = 0;     // drain re-dispatches onto survivors
   std::int64_t retry_exhausted = 0;  // requests whose retry budget ran out
   std::int64_t no_healthy_device = 0;  // typed admission failures: every
@@ -123,20 +131,11 @@ struct FleetReport {
   sim::StatRegistry stats;
 };
 
-/// Reconfigurations a shard actually streamed, read back from its merged
-/// rtr.ensure.latency_ps.{cached,differential,complete} series.
-[[nodiscard]] std::int64_t count_swaps(const sim::StatRegistry& stats);
-
-/// Final serial merge shared by both runners: fold fr.shards (already
-/// filled, in shard-index order) and fr.route into the aggregate fields
-/// and the fleet.* stats series.
-void merge_fleet_report(FleetReport& fr);
-
-/// Run the whole fleet: generate, route, serve on `opts.jobs` host
-/// threads, merge. Byte-identical output per (opts, spec) at any jobs.
-/// With opts.health.enabled the run proceeds in epochs through the
-/// health-tracking runner (health.hpp); otherwise the legacy single-pass
-/// three-phase pipeline runs unchanged.
+/// Run the whole fleet: generate, then route and serve epoch by epoch on
+/// `opts.jobs` host threads, then merge. Byte-identical output per
+/// (opts, spec) at any jobs. With opts.health.enabled the stream is cut
+/// into epochs of health.epoch_arrivals and the tracker quarantines,
+/// drains and readmits devices between them (health.hpp).
 FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w);
 
 }  // namespace rtr::serve::fleet

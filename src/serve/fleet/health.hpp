@@ -34,8 +34,7 @@
 namespace rtr::serve::fleet {
 
 /// Knobs of the fleet's device-failure feedback loop. Disabled by default:
-/// run_fleet with health.enabled == false is byte-identical to the
-/// pre-health fleet.
+/// run_fleet then serves the whole stream as one epoch.
 struct HealthPolicy {
   bool enabled = false;
   /// Arrivals per epoch: the serial checkpoint cadence. Smaller epochs
@@ -138,19 +137,5 @@ class HealthTracker {
   HealthPolicy policy_;
   std::vector<Device> dev_;
 };
-
-struct FleetOptions;
-struct FleetWorkloadSpec;
-struct FleetReport;
-
-/// The health-enabled fleet runner (fleet.cpp dispatches here when
-/// opts.health.enabled): route -> serve -> collect signals -> tick, one
-/// epoch at a time, with persistent per-shard simulations so quarantined
-/// devices keep their clocks, faults and residency across epochs.
-FleetReport run_fleet_health(const FleetOptions& opts,
-                             const FleetWorkloadSpec& w,
-                             const std::vector<Request>& stream,
-                             const std::vector<int>& systems,
-                             const std::vector<int>& areas);
 
 }  // namespace rtr::serve::fleet

@@ -1,8 +1,8 @@
 // Bounded priority request queue (admission control).
 //
-// Three FIFOs, one per priority; pop takes the highest non-empty priority,
-// FIFO within it, so ordering is a pure function of (priority, admission
-// order) and independent of anything host-side. A full queue rejects with
+// Three FIFOs, one per priority; the baseline pop order is the highest
+// non-empty priority, FIFO within it, so ordering is a pure function of
+// (priority, admission order) and independent of anything host-side. A full queue rejects with
 // a typed error instead of growing -- shedding at admission is the serving
 // layer's first line of overload defence.
 //
@@ -71,19 +71,6 @@ class RequestQueue {
     return nullptr;
   }
 
-  /// Highest priority first, FIFO within a priority.
-  Request pop() {
-    for (auto& q : q_) {
-      if (!q.empty()) {
-        Request r = q.front();
-        q.pop_front();
-        return r;
-      }
-    }
-    RTR_CHECK(false, "pop from an empty request queue");
-    __builtin_unreachable();
-  }
-
   /// Affinity pop (multi-area devices, docs/PLACEMENT.md): within the
   /// highest non-empty priority class, prefer the oldest request whose
   /// behaviour `resident` says is already hosted by some dynamic area --
@@ -93,6 +80,7 @@ class RequestQueue {
   /// max_bypass times (by this path or by batch extraction) is aged and is
   /// never bypassed again, so a cold behaviour cannot starve. Priority
   /// still dominates: a lower class is never popped over a higher one.
+  /// With nothing resident this is the strict baseline order.
   /// Pure function of (queue content, residency, bypass counters).
   template <typename ResidentFn>
   Request pop_affine(ResidentFn&& resident, int max_bypass) {

@@ -176,101 +176,82 @@ class TaskServer {
 
   /// Pop and serve the highest-priority request (on a multi-area device,
   /// the highest-priority request warm in some area, with aging; see
-  /// ServeOptions::affinity_max_bypass). Advances simulated time.
-  Completion serve_one() {
-    const Request req =
-        p_->area_count() > 1
-            ? queue_.pop_affine(
-                  [this](int b) {
-                    return mgr_.is_resident(static_cast<hw::BehaviorId>(b));
-                  },
-                  opts_.affinity_max_bypass)
-            : queue_.pop();
-    stage_sample(stages(req.behavior).queue, (now() - req.submitted).ps());
-    trace::Tracer& tr = p_->sim().tracer();
-    const int track = tr.enabled() ? tr.track("SERVE") : -1;
-    if (track >= 0) {
-      tr.begin(track,
-               std::string(hw::task_name(req.behavior)) + ":" +
-                   std::to_string(req.id),
-               now());
-      tr.flow(trace::Phase::kFlowStep, track, "req", req.id, now());
-    }
-    // Everything under dispatch (module ensure, reconfiguration, exec) can
-    // attribute its spans to this request through the simulation context.
-    const sim::RequestContext ctx{req.id, req.behavior, req.deadline.ps(),
-                                  req.submitted.ps()};
-    p_->sim().set_active_request(&ctx);
-    Completion c = dispatch(req);
-    p_->sim().set_active_request(nullptr);
-    const sim::SimTime prefetch_start = now();
-    prefetch_next(req);
-    // The prefetcher warms plans off the simulated clock; the stage
-    // histogram pins that invariant (always 0) into the §4 decomposition.
-    stage_sample(stages(req.behavior).prefetch, (now() - prefetch_start).ps());
-    c.finished = now();
-    c.deadline_met = req.deadline.ps() == 0 || c.finished <= req.deadline;
-    if (!c.deadline_met &&
-        (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw)) {
-      ++report_.deadline_miss;
-      counter("serve.deadline_miss").add();
-      mark("deadline_miss", req.id);
-    }
-    if (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw) {
-      p_->sim().stats().histogram("serve.latency_ps").sample(
-          (c.finished - c.req.submitted).ps());
-      if (!c.golden_ok) report_.digests_ok = false;
-    }
-    observe_slos(c);
-    if (track >= 0) {
-      tr.instant(track, std::string("done:") + outcome_name(c.outcome), now(),
-                 "req", c.req.id);
-      tr.flow(trace::Phase::kFlowEnd, track, "req", req.id, now());
-      tr.end(track, now());
-    }
-    report_.completions.push_back(c);
-    return c;
+  /// ServeOptions::affinity_max_bypass). Advances simulated time. This is
+  /// serve_members capped at one member, without batch accounting.
+  Completion serve_one() { return serve_members(1).front(); }
+
+  /// Pop and serve a slack-bounded batch of up to batch.max_batch
+  /// same-behaviour requests (see serve_members). With batching disabled
+  /// this is exactly {serve_one()}.
+  std::vector<Completion> serve_batch() {
+    return serve_members(opts_.batch.max_batch);
   }
 
-  /// Pop and serve a slack-bounded batch of same-behaviour requests: one
+  /// Replay an open-loop script (sorted by submission time) to drain:
+  /// each request is submitted once the clock reaches its submission time,
+  /// the CPU idles across gaps while the queue is empty, and batches are
+  /// served in between.
+  void serve_script(const std::vector<Request>& script) {
+    std::size_t next = 0;
+    while (next < script.size() || pending()) {
+      if (!pending() && next < script.size() &&
+          script[next].submitted > now()) {
+        p_->cpu().idle_until(script[next].submitted);
+      }
+      while (next < script.size() && script[next].submitted <= now()) {
+        (void)submit(script[next]);
+        ++next;
+      }
+      if (pending()) (void)serve_batch();
+    }
+  }
+
+ private:
+  /// The one serving path. Pops up to `cap` same-behaviour requests: one
   /// residency (and, for 64-bit image tasks, one multi-buffer scatter-
-  /// gather descriptor chain) serves every member. Per-member semantics
-  /// match serve_one -- expiry, fail-stop, deadline accounting, SLOs and
-  /// digests are all evaluated per member; the batch shares the breaker
-  /// decision, the watchdog-armed module ensure (armed against the
-  /// earliest member deadline, so no member's deadline is sacrificed) and
-  /// the chain kick. A member whose output fails golden verification
-  /// (a fault corrupted its beats mid-chain) is re-run on the software
-  /// kernel for a bit-identical digest; the rest of the batch is
-  /// unaffected. With batching disabled this is exactly {serve_one()}.
-  std::vector<Completion> serve_batch() {
-    if (opts_.batch.max_batch <= 1) return {serve_one()};
+  /// gather descriptor chain) serves every member. Expiry, fail-stop,
+  /// deadline accounting, SLOs and digests are evaluated per member; the
+  /// members share the breaker decision, the watchdog-armed module ensure
+  /// (armed against the earliest member deadline, so no member's deadline
+  /// is sacrificed) and the chain kick. A member whose output fails golden
+  /// verification (a fault corrupted its beats mid-chain) is re-run on the
+  /// software kernel for a bit-identical digest; the rest of the batch is
+  /// unaffected. A cap above one counts as a batch (serve.batch.*, a
+  /// batch:<task>:xN span, even for a singleton); a cap of one traces the
+  /// request as a <task>:<id> span.
+  std::vector<Completion> serve_members(int cap) {
+    const bool batched = cap > 1;
+    BatchPolicy pol = opts_.batch;
+    pol.max_batch = cap;
     const auto resident = [this](int b) {
       return mgr_.is_resident(static_cast<hw::BehaviorId>(b));
     };
     const auto cold = [](int) { return false; };
     std::vector<Request> batch =
         p_->area_count() > 1
-            ? queue_.pop_batch(resident, opts_.affinity_max_bypass,
-                               opts_.batch, now())
-            : queue_.pop_batch(cold, opts_.affinity_max_bypass, opts_.batch,
-                               now());
-    ++report_.batches;
-    report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;
-    counter("serve.batch.count").add();
-    if (batch.size() > 1) {
-      counter("serve.batch.coalesced")
-          .add(static_cast<std::int64_t>(batch.size()) - 1);
+            ? queue_.pop_batch(resident, opts_.affinity_max_bypass, pol,
+                               now())
+            : queue_.pop_batch(cold, opts_.affinity_max_bypass, pol, now());
+    if (batched) {
+      ++report_.batches;
+      report_.coalesced += static_cast<std::int64_t>(batch.size()) - 1;
+      counter("serve.batch.count").add();
+      if (batch.size() > 1) {
+        counter("serve.batch.coalesced")
+            .add(static_cast<std::int64_t>(batch.size()) - 1);
+      }
+      p_->sim().stats().histogram("serve.batch.size").sample(
+          static_cast<std::int64_t>(batch.size()));
     }
-    p_->sim().stats().histogram("serve.batch.size").sample(
-        static_cast<std::int64_t>(batch.size()));
     const hw::BehaviorId behavior = batch.front().behavior;
     trace::Tracer& tr = p_->sim().tracer();
     const int track = tr.enabled() ? tr.track("SERVE") : -1;
     if (track >= 0) {
       tr.begin(track,
-               std::string("batch:") + hw::task_name(behavior) + ":x" +
-                   std::to_string(batch.size()),
+               batched ? std::string("batch:") + hw::task_name(behavior) +
+                             ":x" + std::to_string(batch.size())
+                       : std::string(hw::task_name(behavior)) + ":" +
+                             std::to_string(batch.front().id),
                now());
     }
 
@@ -292,8 +273,10 @@ class TaskServer {
         c.deadline_met = false;
       } else if (fault::FaultInjector* fi = p_->faults();
                  fi != nullptr && fi->on_dispatch(now()).fail_stop) {
-        // Whole-device fault sites keep one opportunity per request, as
-        // the unbatched dispatch path gives them.
+        // Whole-device fault sites (fail_stop/brownout): one opportunity
+        // per member. A fail-stopped device refuses the request outright --
+        // its software kernels run on the same dead device, so there is no
+        // degradation path; the fleet's health tracker is the recovery.
         ++report_.fail_stops;
         ++report_.failed;
         counter("serve.fail_stop").add();
@@ -314,10 +297,21 @@ class TaskServer {
       const BreakerState before = br.state();
       const bool try_hw = br.allow_hw(now());
       if (try_hw && before == BreakerState::kOpen) {
+        // The cooldown elapsed: this residency is the half-open probe.
         ++report_.breaker_probes;
         counter("serve.breaker_probes").add();
         mark("breaker:probe", leader.id);
       }
+      // A hardware failure on member i's behalf, charged to the breaker.
+      const auto hw_failed = [&](std::size_t i) {
+        if (br.record_failure(now())) {
+          ++report_.breaker_opens;
+          counter("serve.breaker_opens").add();
+          mark("breaker:open", batch[i].id);
+          incident("breaker_open", batch[i].id);
+          out[i].breaker_opened = true;
+        }
+      };
       bool hw_ready = false;
       if (try_hw) {
         // One watchdog-armed ensure serves the whole batch: the budget is
@@ -340,12 +334,15 @@ class TaskServer {
         p_->sim().set_active_request(nullptr);
         stage_sample(stages(behavior).reconfig, es.time.ps());
         if (p_->area_count() > 1 && es.ok) {
+          // Per-area traffic: hits were served by a warm area (including
+          // cross-area dock re-binds), loads paid a reconfiguration.
           counter((std::string("serve.area.") + std::to_string(es.area) +
                    (es.already_resident ? ".hits" : ".loads"))
                       .c_str())
               .add();
         }
         if (opts_.plan_cache && !es.already_resident) {
+          // A swap actually ran: score the prefetcher's last prediction.
           if (prefetch_pending_ == behavior) {
             counter("serve.prefetch.hits").add();
             prefetch_pending_ = -1;
@@ -365,19 +362,16 @@ class TaskServer {
         hw_ready = es.ok;
         if (!es.ok) {
           lead_c.error = es.error;
-          if (br.record_failure(now())) {
-            ++report_.breaker_opens;
-            counter("serve.breaker_opens").add();
-            mark("breaker:open", leader.id);
-            incident("breaker_open", leader.id);
-            lead_c.breaker_opened = true;
-          }
+          hw_failed(live.front());
         }
       }
 
       // Success bookkeeping shared by the chained and per-member paths.
-      const auto hw_served = [&](std::size_t i, const ExecResult& r) {
+      const auto hw_served = [&](std::size_t i, const ExecResult& r,
+                                 sim::SimTime finished) {
         if (br.record_success()) {
+          // Probe succeeded: hardware service is restored, and the fault
+          // behind the manager's diff->complete degradation is gone too.
           ++report_.breaker_closes;
           counter("serve.breaker_closes").add();
           mark("breaker:close", batch[i].id);
@@ -388,14 +382,12 @@ class TaskServer {
         out[i].outcome = Outcome::kHw;
         out[i].digest = r.digest;
         out[i].golden_ok = r.golden_ok;
+        out[i].finished = finished;
       };
+      // Graceful degradation: the software kernel, bit-identical to the
+      // hardware path (admission guaranteed it exists).
       const auto sw_served = [&](std::size_t i) {
-        const sim::RequestContext ctx{batch[i].id, batch[i].behavior,
-                                      batch[i].deadline.ps(),
-                                      batch[i].submitted.ps()};
-        p_->sim().set_active_request(&ctx);
         const ExecResult r = timed_exec(batch[i], /*hw=*/false);
-        p_->sim().set_active_request(nullptr);
         if (r.ok) {
           ++report_.degraded;
           counter("serve.degraded").add();
@@ -438,21 +430,14 @@ class TaskServer {
           for (std::size_t j = 0; j < live.size(); ++j) {
             const std::size_t i = live[j];
             if (ms[j].result.golden_ok) {
-              hw_served(i, ms[j].result);
-              out[i].finished = chain_end;
+              hw_served(i, ms[j].result, chain_end);
             } else {
               // A fault corrupted this member's beats mid-chain: degrade
               // only this member to the software kernel (bit-identical
               // digest); the rest of the batch is already done.
               out[i].hw_detected = true;
               counter("serve.batch.member_degraded").add();
-              if (br.record_failure(now())) {
-                ++report_.breaker_opens;
-                counter("serve.breaker_opens").add();
-                mark("breaker:open", batch[i].id);
-                incident("breaker_open", batch[i].id);
-                out[i].breaker_opened = true;
-              }
+              hw_failed(i);
               sw_served(i);
             }
           }
@@ -460,24 +445,12 @@ class TaskServer {
           // Hash / pattern-match protocols (and the 32-bit platform) keep
           // their per-member drivers; the batch still amortizes the swap.
           for (const std::size_t i : live) {
-            const sim::RequestContext ctx{batch[i].id, batch[i].behavior,
-                                          batch[i].deadline.ps(),
-                                          batch[i].submitted.ps()};
-            p_->sim().set_active_request(&ctx);
             const ExecResult r = timed_exec(batch[i], /*hw=*/true);
-            p_->sim().set_active_request(nullptr);
             if (r.ok) {
-              hw_served(i, r);
-              out[i].finished = now();
+              hw_served(i, r, now());
             } else {
               out[i].error = "hardware execution produced no result";
-              if (br.record_failure(now())) {
-                ++report_.breaker_opens;
-                counter("serve.breaker_opens").add();
-                mark("breaker:open", batch[i].id);
-                incident("breaker_open", batch[i].id);
-                out[i].breaker_opened = true;
-              }
+              hw_failed(i);
               sw_served(i);
             }
           }
@@ -499,13 +472,14 @@ class TaskServer {
       if (c.finished.ps() == 0) c.finished = now();
       c.deadline_met =
           c.req.deadline.ps() == 0 || c.finished <= c.req.deadline;
-      if (!c.deadline_met &&
-          (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw)) {
+      const bool served =
+          c.outcome == Outcome::kHw || c.outcome == Outcome::kSw;
+      if (!c.deadline_met && served) {
         ++report_.deadline_miss;
         counter("serve.deadline_miss").add();
         mark("deadline_miss", c.req.id);
       }
-      if (c.outcome == Outcome::kHw || c.outcome == Outcome::kSw) {
+      if (served) {
         p_->sim().stats().histogram("serve.latency_ps").sample(
             (c.finished - c.req.submitted).ps());
         if (!c.golden_ok) report_.digests_ok = false;
@@ -522,7 +496,6 @@ class TaskServer {
     return out;
   }
 
- private:
   [[nodiscard]] sim::SimTime now() const { return p_->kernel().now(); }
   static constexpr int dock_width() {
     return std::is_same_v<Platform, Platform64> ? 64 : 32;
@@ -547,132 +520,6 @@ class TaskServer {
     return h;
   }
 
-  Completion dispatch(const Request& req) {
-    Completion c = make_completion(req, Outcome::kFailed);
-
-    if (req.deadline.ps() > 0 && now() >= req.deadline) {
-      ++report_.expired;
-      counter("serve.expired").add();
-      mark("expired", req.id);
-      c.outcome = Outcome::kExpired;
-      c.deadline_met = false;
-      return c;
-    }
-
-    // Whole-device fault sites (fail_stop/brownout): one opportunity per
-    // dispatch. A fail-stopped device refuses the request outright -- its
-    // software kernels run on the same dead device, so there is no
-    // degradation path; the fleet's health tracker is the recovery story.
-    if (fault::FaultInjector* fi = p_->faults()) {
-      const fault::FaultInjector::DispatchFault df = fi->on_dispatch(now());
-      if (df.fail_stop) {
-        ++report_.fail_stops;
-        ++report_.failed;
-        counter("serve.fail_stop").add();
-        counter("serve.failed").add();
-        mark("fail_stop", req.id);
-        c.fail_stop = true;
-        c.error = "device fail-stop";
-        return c;
-      }
-    }
-
-    CircuitBreaker& br = breaker(req.behavior);
-    const BreakerState before = br.state();
-    const bool try_hw = br.allow_hw(now());
-    if (try_hw && before == BreakerState::kOpen) {
-      // The cooldown elapsed: this request is the half-open probe.
-      ++report_.breaker_probes;
-      counter("serve.breaker_probes").add();
-      mark("breaker:probe", req.id);
-    }
-
-    if (try_hw) {
-      // Arm the watchdog: one hardware attempt may not outlive its budget
-      // or the request's own deadline, whichever is sooner.
-      sim::SimTime dl = now() + opts_.hw_attempt_budget;
-      if (req.deadline.ps() > 0 && req.deadline < dl) dl = req.deadline;
-      p_->set_load_deadline(dl);
-      const EnsureStats es = mgr_.ensure(req.behavior, dock_width());
-      p_->set_load_deadline(sim::SimTime{});
-      stage_sample(stages(req.behavior).reconfig, es.time.ps());
-      if (p_->area_count() > 1 && es.ok) {
-        // Per-area serving traffic (multi-area devices only): hits are
-        // requests served by a warm area (including cross-area dock
-        // re-binds), loads paid a reconfiguration into that area.
-        counter((std::string("serve.area.") + std::to_string(es.area) +
-                 (es.already_resident ? ".hits" : ".loads"))
-                    .c_str())
-            .add();
-      }
-      if (opts_.plan_cache && !es.already_resident) {
-        // A swap actually ran: score the prefetcher's last prediction.
-        if (prefetch_pending_ == req.behavior) {
-          counter("serve.prefetch.hits").add();
-          prefetch_pending_ = -1;
-        } else {
-          counter("serve.prefetch.misses").add();
-        }
-      }
-      if (es.watchdog) {
-        ++report_.watchdog_aborts;
-        counter("serve.watchdog_aborts").add();
-        mark("watchdog_abort", req.id);
-        incident("watchdog_abort", req.id);
-      }
-      c.watchdog = es.watchdog;
-      c.hw_detected = es.detected;
-      c.hw_giveup = !es.ok;
-      if (es.ok) {
-        const ExecResult r = timed_exec(req, /*hw=*/true);
-        if (r.ok) {
-          if (br.record_success()) {
-            // Probe succeeded: hardware service is restored. Also lift the
-            // manager's diff->complete degradation -- the fault that caused
-            // it is evidently gone.
-            ++report_.breaker_closes;
-            counter("serve.breaker_closes").add();
-            mark("breaker:close", req.id);
-            mgr_.reset_degraded();
-          }
-          ++report_.served_hw;
-          counter("serve.hw").add();
-          c.outcome = Outcome::kHw;
-          c.digest = r.digest;
-          c.golden_ok = r.golden_ok;
-          return c;
-        }
-        c.error = "hardware execution produced no result";
-      } else {
-        c.error = es.error;
-      }
-      if (br.record_failure(now())) {
-        ++report_.breaker_opens;
-        counter("serve.breaker_opens").add();
-        mark("breaker:open", req.id);
-        incident("breaker_open", req.id);
-        c.breaker_opened = true;
-      }
-    }
-
-    // Graceful degradation: the software kernel, bit-identical to the
-    // hardware path (admission guaranteed it exists).
-    const ExecResult r = timed_exec(req, /*hw=*/false);
-    if (r.ok) {
-      ++report_.degraded;
-      counter("serve.degraded").add();
-      mark("degrade:sw", req.id);
-      c.outcome = Outcome::kSw;
-      c.digest = r.digest;
-      c.golden_ok = r.golden_ok;
-    } else {
-      ++report_.failed;
-      counter("serve.failed").add();
-      mark("failed", req.id);
-    }
-    return c;
-  }
-
   /// Warm the manager's plan cache for the next queued request that would
   /// force a module swap. Pure host-side work between requests (zero
   /// simulated time), so the served outputs cannot observe it; the warm is
@@ -690,11 +537,15 @@ class TaskServer {
     mark("prefetch:warm", nx->id);
   }
 
-  /// Run the request's kernel, timing the execution stage and tracing it
-  /// as a flow-linked complete span.
+  /// Run the request's kernel under its request context, timing the
+  /// execution stage and tracing it as a flow-linked complete span.
   ExecResult timed_exec(const Request& req, bool hw) {
+    const sim::RequestContext ctx{req.id, req.behavior, req.deadline.ps(),
+                                  req.submitted.ps()};
+    p_->sim().set_active_request(&ctx);
     const sim::SimTime t0 = now();
     const ExecResult r = exec_request(*p_, req.behavior, input_seed(req), hw);
+    p_->sim().set_active_request(nullptr);
     stage_sample(stages(req.behavior).exec, (now() - t0).ps());
     trace::Tracer& tr = p_->sim().tracer();
     if (tr.enabled()) {
@@ -883,12 +734,7 @@ ServeReport run_workload(Platform& p, const WorkloadSpec& w,
       }
     }
     if (srv.pending()) {
-      if (opts.batch.max_batch > 1) {
-        for (const Completion& c : srv.serve_batch()) {
-          dispose(c.req.client, c.finished.ps());
-        }
-      } else {
-        const Completion c = srv.serve_one();
+      for (const Completion& c : srv.serve_batch()) {
         dispose(c.req.client, c.finished.ps());
       }
     }
@@ -905,26 +751,7 @@ template <typename Platform>
 ServeReport run_open_workload(Platform& p, const OpenLoopSpec& spec,
                               std::uint64_t seed, ServeOptions opts = {}) {
   TaskServer<Platform> srv(p, spec.queue_capacity, opts, seed);
-  const std::vector<Request> stream = make_open_stream(spec, seed);
-  std::size_t next = 0;
-  while (next < stream.size() || srv.pending()) {
-    if (!srv.pending() && next < stream.size() &&
-        stream[next].submitted > p.kernel().now()) {
-      p.cpu().idle_until(stream[next].submitted);
-    }
-    while (next < stream.size() &&
-           stream[next].submitted <= p.kernel().now()) {
-      (void)srv.submit(stream[next]);
-      ++next;
-    }
-    if (srv.pending()) {
-      if (opts.batch.max_batch > 1) {
-        (void)srv.serve_batch();
-      } else {
-        (void)srv.serve_one();
-      }
-    }
-  }
+  srv.serve_script(make_open_stream(spec, seed));
   return srv.report();
 }
 

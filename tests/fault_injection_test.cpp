@@ -19,9 +19,23 @@ namespace {
 
 using sim::SimTime;
 
-TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
+/// Options with a storage fault that flips bit 8 of the staged
+/// configuration word at `word` before every load ("storage:stuck@0" with
+/// a pinned word and mask 0x0100): the ICAP's CRC must catch it.
+PlatformOptions corrupt_word(std::int64_t word) {
+  fault::FaultSpec s;
+  s.site = fault::Site::kConfigStorage;
+  s.kind = fault::TriggerKind::kStuck;
+  s.n = 0;
+  s.word = word;
+  s.mask = 0x0100;
   PlatformOptions opts;
-  opts.corrupt_config_word = 5000;  // deep inside the frame payload
+  opts.fault_plan.add(s);
+  return opts;
+}
+
+TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
+  PlatformOptions opts = corrupt_word(5000);  // deep inside the frame payload
   Platform32 p{opts};
   const ReconfigStats s = p.load_module(hw::kJenkinsHash);
   EXPECT_FALSE(s.ok);
@@ -32,8 +46,7 @@ TEST(FaultInjection, CorruptedConfigIsCaughtByTheCrc) {
 }
 
 TEST(FaultInjection, CorruptionInTheHeaderAlsoFails) {
-  PlatformOptions opts;
-  opts.corrupt_config_word = 2;  // the IDCODE packet area
+  PlatformOptions opts = corrupt_word(2);  // the IDCODE packet area
   Platform32 p{opts};
   EXPECT_FALSE(p.load_module(hw::kBrightness).ok);
   EXPECT_EQ(p.active_module(), nullptr);
@@ -42,8 +55,7 @@ TEST(FaultInjection, CorruptionInTheHeaderAlsoFails) {
 TEST(FaultInjection, RecoveryAfterACorruptLoad) {
   // One corrupt load, then a clean platform-level retry must succeed: the
   // load path resets the ICAP before streaming.
-  PlatformOptions opts;
-  opts.corrupt_config_word = 9000;
+  PlatformOptions opts = corrupt_word(9000);
   Platform32 p{opts};
   ASSERT_FALSE(p.load_module(hw::kFade).ok);
 
@@ -73,8 +85,7 @@ TEST(FaultInjection, FailedStreamLeavesNothingBound) {
   // A load that fails *during* streaming (CRC) has already torn down the
   // prior module -- the region content is undefined, so nothing may stay
   // bound. Safety over availability.
-  PlatformOptions opts;
-  opts.corrupt_config_word = 8000;
+  PlatformOptions opts = corrupt_word(8000);
   Platform32 p{opts};
   // First load succeeds? No -- corruption applies to every load on this
   // platform, so load a module whose stream is shorter than the corrupt
@@ -85,8 +96,7 @@ TEST(FaultInjection, FailedStreamLeavesNothingBound) {
 }
 
 TEST(FaultInjection, CorruptLoadOn64ViaDmaAlsoCaught) {
-  PlatformOptions opts;
-  opts.corrupt_config_word = 4000;
+  PlatformOptions opts = corrupt_word(4000);
   Platform64 p{opts};
   const ReconfigStats s = p.load_module(hw::kBrightness);
   EXPECT_FALSE(s.ok);
@@ -257,29 +267,6 @@ TEST(FaultRecovery, StickyIcapFaultExhaustsRetriesThenRepairRecovers) {
   EXPECT_TRUE(again.verified);
   EXPECT_EQ(p.fabric_state().snapshot(),
             golden_snapshot<Platform32>(hw::kBrightness));
-}
-
-TEST(FaultRecovery, CorruptConfigWordShimIsAnAliasForTheStoragePlan) {
-  PlatformOptions legacy;
-  legacy.corrupt_config_word = 5000;
-  Platform32 a{legacy};
-  const ReconfigStats sa = a.load_module(hw::kJenkinsHash);
-
-  PlatformOptions plan;
-  fault::FaultSpec shim;
-  shim.site = fault::Site::kConfigStorage;
-  shim.kind = fault::TriggerKind::kStuck;
-  shim.n = 0;
-  shim.word = 5000;
-  shim.mask = 0x0100;
-  plan.fault_plan.add(shim);
-  Platform32 b{plan};
-  const ReconfigStats sb = b.load_module(hw::kJenkinsHash);
-
-  EXPECT_FALSE(sa.ok);
-  EXPECT_FALSE(sb.ok);
-  EXPECT_EQ(sa.error, sb.error);
-  EXPECT_EQ(sa.duration().ps(), sb.duration().ps());
 }
 
 TEST(FaultRecovery, InjectedFaultsBumpTheFabricGeneration) {

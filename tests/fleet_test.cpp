@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <sstream>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "serve/fleet/fleet.hpp"
 #include "serve/fleet/router.hpp"
 #include "serve/workload.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 
@@ -190,21 +190,17 @@ TEST(StatMerge, ConcurrentShardRegistriesMergeExactly) {
   constexpr int kShards = 8;
   constexpr int kSamples = 500;
   std::vector<sim::StatRegistry> regs(kShards);
-  std::vector<std::thread> pool;
-  pool.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    pool.emplace_back([s, &regs] {
-      sim::StatRegistry& reg = regs[static_cast<std::size_t>(s)];
-      sim::Rng rng{static_cast<std::uint64_t>(s + 1)};
-      for (int i = 0; i < kSamples; ++i) {
-        reg.counter("serve.hw").add();
-        reg.histogram("serve.latency_ps")
-            .sample(static_cast<std::int64_t>(rng.below(1u << 20)));
-      }
-      reg.counter("shard.only." + std::to_string(s)).add(s);
-    });
-  }
-  for (std::thread& t : pool) t.join();
+  sim::for_each_slot(kShards, kShards, [&regs](std::size_t s) {
+    sim::StatRegistry& reg = regs[s];
+    sim::Rng rng{static_cast<std::uint64_t>(s + 1)};
+    for (int i = 0; i < kSamples; ++i) {
+      reg.counter("serve.hw").add();
+      reg.histogram("serve.latency_ps")
+          .sample(static_cast<std::int64_t>(rng.below(1u << 20)));
+    }
+    reg.counter("shard.only." + std::to_string(s))
+        .add(static_cast<std::int64_t>(s));
+  });
 
   sim::StatRegistry agg;
   std::int64_t expect_sum = 0, expect_min = -1, expect_max = -1;

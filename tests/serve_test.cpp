@@ -41,6 +41,12 @@ Request make_request(std::int64_t id, hw::BehaviorId b,
   return r;
 }
 
+/// Strict (priority, FIFO) pop: an affinity pop with nothing resident, the
+/// way a single-area device pops.
+Request pop_strict(RequestQueue& q) {
+  return q.pop_affine([](int) { return false; }, 16);
+}
+
 // --- bounded priority queue ---------------------------------------------------
 
 TEST(RequestQueue, PopsByPriorityThenFifo) {
@@ -53,10 +59,10 @@ TEST(RequestQueue, PopsByPriorityThenFifo) {
             AdmitError::kNone);
   ASSERT_EQ(q.admit(make_request(4, hw::kJenkinsHash, Priority::kHigh)),
             AdmitError::kNone);
-  EXPECT_EQ(q.pop().id, 3);  // high, FIFO within the class
-  EXPECT_EQ(q.pop().id, 4);
-  EXPECT_EQ(q.pop().id, 2);  // then normal
-  EXPECT_EQ(q.pop().id, 1);  // then low
+  EXPECT_EQ(pop_strict(q).id, 3);  // high, FIFO within the class
+  EXPECT_EQ(pop_strict(q).id, 4);
+  EXPECT_EQ(pop_strict(q).id, 2);  // then normal
+  EXPECT_EQ(pop_strict(q).id, 1);  // then low
   EXPECT_TRUE(q.empty());
 }
 
@@ -71,7 +77,7 @@ TEST(RequestQueue, FullQueueShedsWithTypedError) {
 
 TEST(RequestQueue, PopOnEmptyDies) {
   RequestQueue q{1};
-  EXPECT_DEATH((void)q.pop(), "empty request queue");
+  EXPECT_DEATH((void)pop_strict(q), "empty request queue");
 }
 
 // --- circuit breaker ----------------------------------------------------------
@@ -727,8 +733,8 @@ TEST(RequestQueue, PopBatchCoalescesSameBehaviorWithinSlack) {
   EXPECT_EQ(batch[2].id, 5);
   // The jumped-over sha1 requests remain, in order, with a bypass charged.
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().id, 2);
-  EXPECT_EQ(q.pop().id, 4);
+  EXPECT_EQ(pop_strict(q).id, 2);
+  EXPECT_EQ(pop_strict(q).id, 4);
 }
 
 TEST(RequestQueue, PopBatchHonorsMaxBatch) {
@@ -803,7 +809,7 @@ TEST(RequestQueue, PopBatchCoalescesAcrossPriorityClasses) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 1);  // high-priority leader
   EXPECT_EQ(batch[1].id, 3);  // same behaviour from the normal class
-  EXPECT_EQ(q.pop().id, 2);
+  EXPECT_EQ(pop_strict(q).id, 2);
 }
 
 TEST(Batching, BatchedDigestsMatchUnbatchedPerRequest) {

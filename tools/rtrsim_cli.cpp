@@ -61,7 +61,6 @@
 // Tasks: jenkins, sha1, patmatch, brightness, blend, fade, loopback.
 // Every run executes both the software baseline and the hardware version
 // and cross-checks them, printing simulated times and the speedup.
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -72,7 +71,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "apps/drivers.hpp"
 #include "apps/golden.hpp"
@@ -89,6 +87,7 @@
 #include "serve/fleet/fleet.hpp"
 #include "serve/server.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/parallel.hpp"
 #include "sim/parse.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -384,20 +383,20 @@ void apply_log_level(sim::Simulation& sim, const Args& a) {
   sim.logger().set_sink(sim::Logger::stderr_sink());
 }
 
-/// Write --trace-out / --stats-out files. Returns 0, or 1 when a file
-/// cannot be opened.
-int dump_observability(sim::Simulation& sim, const trace::Tracer& tracer,
-                       const Args& a) {
-  if (!a.trace_out.empty()) {
+/// Write --trace-out (unless `tracer` is null) and --stats-out files.
+/// Returns 0, or 1 when a file cannot be opened.
+int dump_observability(const sim::StatRegistry& stats,
+                       const trace::Tracer* tracer, const Args& a) {
+  if (tracer != nullptr && !a.trace_out.empty()) {
     std::ofstream f(a.trace_out);
     if (!f) {
       std::fprintf(stderr, "cannot open %s\n", a.trace_out.c_str());
       return 1;
     }
     if (a.trace_format == "text") {
-      tracer.export_timeline(f);
+      tracer->export_timeline(f);
     } else {
-      tracer.export_chrome(f);
+      tracer->export_chrome(f);
     }
   }
   if (!a.stats_out.empty()) {
@@ -407,9 +406,9 @@ int dump_observability(sim::Simulation& sim, const trace::Tracer& tracer,
       return 1;
     }
     if (a.stats_format == "csv") {
-      sim.stats().export_csv(f);
+      stats.export_csv(f);
     } else {
-      sim.stats().export_json(f);
+      stats.export_json(f);
     }
   }
   return 0;
@@ -645,7 +644,7 @@ int run_task(const Args& a) {
   apply_log_level(p.sim(), a);
   const int rc = run_task_inner(a, p);
   if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-  const int dump_rc = dump_observability(p.sim(), tracer, a);
+  const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
   return rc != 0 ? rc : dump_rc;
 }
 
@@ -848,26 +847,13 @@ int sweep(const Args& a) {
     list.assign(std::begin(kSweepScenarios), std::end(kSweepScenarios));
   }
 
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int jobs =
-      a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
-
+  const int jobs = sim::default_jobs(a.jobs);
   std::vector<SweepOutcome> results(list.size());
-  std::atomic<std::size_t> next{0};
   const auto wall0 = std::chrono::steady_clock::now();
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= list.size()) return;
-      results[i] = list[i].system == 32 ? sweep_one<Platform32>(list[i])
-                                        : sweep_one<Platform64>(list[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs) - 1);
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
+  sim::for_each_slot(list.size(), jobs, [&](std::size_t i) {
+    results[i] = list[i].system == 32 ? sweep_one<Platform32>(list[i])
+                                      : sweep_one<Platform64>(list[i]);
+  });
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall0)
                              .count();
@@ -1264,7 +1250,7 @@ int serve_single(const Args& a) {
   }
   std::printf("digests: %s\n", r.digests_ok ? "ok" : "MISMATCH");
   if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-  const int dump_rc = dump_observability(p.sim(), tracer, a);
+  const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
   return r.digests_ok && r.failed == 0 ? dump_rc : 1;
 }
 
@@ -1488,34 +1474,21 @@ int serve_cmd(const Args& a) {
     list.assign(std::begin(kServeScenarios), std::end(kServeScenarios));
   }
 
-  const unsigned hc = std::thread::hardware_concurrency();
-  const int jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
-
-  // Same pool shape as `sweep`: scenarios are claimed by an atomic cursor
-  // but land in a results slot fixed by scenario index, so stdout is
+  // Scenarios land in a results slot fixed by scenario index, so stdout is
   // byte-identical for any -j.
+  const int jobs = sim::default_jobs(a.jobs);
   std::vector<ServeScenarioOutcome> results(list.size());
-  std::atomic<std::size_t> next{0};
   const auto wall0 = std::chrono::steady_clock::now();
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= list.size()) return;
-      // 32-bit scenarios always run single-area: the XC2VP7 strip has no
-      // room for a second column-disjoint area (fabric/dynamic_region).
-      results[i] = list[i].system == 32
-                       ? serve_scenario<Platform32>(list[i], a.fault_seed,
-                                                    a.plan_cache, a.slos, 1)
-                       : serve_scenario<Platform64>(list[i], a.fault_seed,
-                                                    a.plan_cache, a.slos,
-                                                    a.areas);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(jobs) - 1);
-  for (int j = 1; j < jobs; ++j) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
+  sim::for_each_slot(list.size(), jobs, [&](std::size_t i) {
+    // 32-bit scenarios always run single-area: the XC2VP7 strip has no
+    // room for a second column-disjoint area (fabric/dynamic_region).
+    results[i] = list[i].system == 32
+                     ? serve_scenario<Platform32>(list[i], a.fault_seed,
+                                                  a.plan_cache, a.slos, 1)
+                     : serve_scenario<Platform64>(list[i], a.fault_seed,
+                                                  a.plan_cache, a.slos,
+                                                  a.areas);
+  });
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall0)
                              .count();
@@ -1597,8 +1570,7 @@ serve::fleet::FleetOptions fleet_options(const Args& a) {
   fo.areas = a.areas;
   fo.batch.max_batch = a.max_batch;
   fo.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
-  const unsigned hc = std::thread::hardware_concurrency();
-  fo.jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
+  fo.jobs = sim::default_jobs(a.jobs);
   fo.seed = a.fault_seed;
   return fo;
 }
@@ -1696,7 +1668,7 @@ bool write_fleet_bench_json(const std::string& path, const Args& a,
       "  \"ns_per_op\": {\"BM_FleetRouteDecision\": %.1f}\n"
       "}\n",
       a.devices, a.mix_text.c_str(), a.areas,
-      a.jobs > 0 ? a.jobs : fleet_options(a).jobs,
+      sim::default_jobs(a.jobs),
       static_cast<long long>(fr.requests), a.plan_cache ? "true" : "false",
       a.steal_threshold, a.zipf_skew, a.arrival_us, wall_ms, rps,
       kServeMatrixRequestsPerScenario,
@@ -1798,18 +1770,7 @@ int fleet_cmd(const Args& a) {
                a.requests, a.devices, fo.jobs, wall_ms,
                wall_ms > 0 ? 1000.0 * a.requests / wall_ms : 0.0);
 
-  if (!a.stats_out.empty()) {
-    std::ofstream f(a.stats_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.stats_out.c_str());
-      return 1;
-    }
-    if (a.stats_format == "csv") {
-      fr.stats.export_csv(f);
-    } else {
-      fr.stats.export_json(f);
-    }
-  }
+  if (dump_observability(fr.stats, nullptr, a) != 0) return 1;
 
   if (!a.bench_out.empty()) {
     // A/B arm: the identical stream under seeded-random sharding. Request
@@ -1937,18 +1898,10 @@ struct ChaosArm {
 /// spec and --seed, so they serve the identical arrival stream.
 ChaosArm run_chaos_arm(const ChaosScenario& s, const Args& a, bool faults,
                        bool health, trace::Tracer* tracer) {
-  serve::fleet::FleetOptions fo;
+  serve::fleet::FleetOptions fo = fleet_options(a);
   fo.devices = s.devices;
-  fo.mix = a.mix;
   fo.affinity = true;
-  fo.steal_threshold = a.steal_threshold;
   fo.plan_cache = true;
-  fo.areas = a.areas;
-  fo.batch.max_batch = a.max_batch;
-  fo.batch.slack_ps = sim::SimTime::from_us(a.batch_slack_us).ps();
-  const unsigned hc = std::thread::hardware_concurrency();
-  fo.jobs = a.jobs > 0 ? a.jobs : static_cast<int>(hc > 0 ? hc : 1);
-  fo.seed = a.fault_seed;
   if (faults) {
     for (const char* text : s.faults) {
       fault::FaultSpec spec;
@@ -2121,30 +2074,7 @@ int chaos_cmd(const Args& a) {
   std::fprintf(stderr, "chaos: %zu scenarios x 3 arms, %.1f ms wall\n",
                selected, wall_total);
 
-  if (!a.trace_out.empty()) {
-    std::ofstream f(a.trace_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.trace_out.c_str());
-      return 1;
-    }
-    if (a.trace_format == "text") {
-      tracer.export_timeline(f);
-    } else {
-      tracer.export_chrome(f);
-    }
-  }
-  if (!a.stats_out.empty()) {
-    std::ofstream f(a.stats_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", a.stats_out.c_str());
-      return 1;
-    }
-    if (a.stats_format == "csv") {
-      all_stats.export_csv(f);
-    } else {
-      all_stats.export_json(f);
-    }
-  }
+  if (dump_observability(all_stats, &tracer, a) != 0) return 1;
   if (!a.bench_out.empty()) {
     std::ofstream f(a.bench_out);
     if (!f) {
@@ -2206,7 +2136,7 @@ int main(int argc, char** argv) {
                   s.ok ? s.duration().to_string().c_str() : s.error.c_str(),
                   static_cast<long long>(s.stream_words));
       if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-      const int dump_rc = dump_observability(p.sim(), tracer, a);
+      const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
       return s.ok ? dump_rc : 1;
     }
     Platform64 p{opts};
@@ -2218,7 +2148,7 @@ int main(int argc, char** argv) {
                 s.ok ? s.duration().to_string().c_str() : s.error.c_str(),
                 static_cast<long long>(s.stream_words));
     if (!a.fault_specs.empty()) print_fault_summary(p.faults());
-    const int dump_rc = dump_observability(p.sim(), tracer, a);
+    const int dump_rc = dump_observability(p.sim().stats(), &tracer, a);
     return s.ok ? dump_rc : 1;
   }
   if (a.command == "run") {
