@@ -321,7 +321,8 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
                        [&](std::size_t i) { rt[i]->serve_epoch(scripts[i]); });
     router.checkpoint();  // everything routed so far has actually run
 
-    // (c) Serial collect: signals + re-dispatch candidates, shard order.
+    // (c) Serial collect (tracker on): signals + re-dispatch candidates,
+    // shard order.
     for (std::size_t i = 0; i < n; ++i) {
       routed_per_shard[i] += static_cast<std::int64_t>(scripts[i].size());
       if (!hp.enabled) continue;
@@ -336,7 +337,7 @@ FleetReport run_fleet(const FleetOptions& opts, const FleetWorkloadSpec& w) {
       for (Request& r : d.redispatch) pool.push_back(r);
     }
 
-    // (d) Serial tick: decay, transitions, probation probes.
+    // (d) Serial tick (tracker on): decay, transitions, probation probes.
     if (hp.enabled) {
       tracker.tick(epoch, epoch_start_ps, router, probe, &fr.health_events);
     }

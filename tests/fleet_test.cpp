@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -606,6 +608,39 @@ TEST(FleetHealth, FailStopIsQuarantinedAndGoodputHolds) {
   EXPECT_TRUE(nr.health_events.empty());
   EXPECT_EQ(nr.redispatched, 0);
   EXPECT_EQ(nr.stats.counters().count("fleet.health.quarantines"), 0u);
+}
+
+TEST(FleetConservation, MergedCountersAreTheSumOfTheShards) {
+  for (const bool tracker : {false, true}) {
+    SCOPED_TRACE(tracker ? "tracker on" : "tracker off");
+    FleetOptions fo = health_fleet(3, 2);
+    fo.mix = {64, 32};
+    fo.health.enabled = tracker;
+    fo.fault_plan.add(chaos_spec("fail_stop:stuck@8:1:0"));
+    const FleetReport fr = run_fleet(fo, health_load(200));
+
+    std::map<std::string, std::int64_t> sums;
+    std::int64_t hw = 0, sw = 0, shed = 0, expired = 0, failed = 0;
+    for (const ShardOutcome& s : fr.shards) {
+      for (const auto& [name, c] : s.stats.counters()) sums[name] += c.value();
+      hw += s.report.served_hw;
+      sw += s.report.degraded;
+      shed += s.report.shed;
+      expired += s.report.expired;
+      failed += s.report.failed;
+    }
+    ASSERT_FALSE(sums.empty());
+    for (const auto& [name, sum] : sums) {
+      const auto it = fr.stats.counters().find(name);
+      ASSERT_NE(it, fr.stats.counters().end()) << name;
+      EXPECT_EQ(it->second.value(), sum) << name;
+    }
+    EXPECT_EQ(fr.served_hw, hw);
+    EXPECT_EQ(fr.degraded, sw);
+    EXPECT_EQ(fr.shed, shed);
+    EXPECT_EQ(fr.expired, expired);
+    EXPECT_EQ(fr.failed, failed);
+  }
 }
 
 TEST(FleetHealth, ByteIdenticalAcrossWorkerCountsUnderChaos) {

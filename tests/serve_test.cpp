@@ -971,5 +971,105 @@ TEST(Batching, OpenLoopBurstyWorkloadServesCleanlyBatched) {
   EXPECT_GT(r.batches, 0);
 }
 
+// --- conservation: every submitted request is disposed of exactly once ------
+
+struct ConservationCase {
+  bool open_loop;
+  int areas;
+  int max_batch;
+  const char* fault;  // nullptr: fault-free
+};
+
+// Keeps the parameter's pointer out of the test names.
+void PrintTo(const ConservationCase& c, std::ostream* os) {
+  *os << (c.open_loop ? "open " : "closed ") << c.areas << " area(s), batch "
+      << c.max_batch << ", " << (c.fault == nullptr ? "clean" : c.fault);
+}
+
+std::string conservation_name(
+    const testing::TestParamInfo<ConservationCase>& info) {
+  const ConservationCase& c = info.param;
+  std::string fault = "clean";
+  if (c.fault != nullptr) {  // "icap:stuck@15000:1" -> "icapstuck"
+    fault = std::string(c.fault).substr(0, std::string(c.fault).find('@'));
+    fault.erase(fault.find(':'), 1);
+  }
+  return std::string(c.open_loop ? "open" : "closed") + "_a" +
+         std::to_string(c.areas) + "_b" + std::to_string(c.max_batch) + "_" +
+         fault;
+}
+
+class ServeConservation : public testing::TestWithParam<ConservationCase> {};
+
+TEST_P(ServeConservation, DispositionsSumToSubmittedAndCountersMatch) {
+  const ConservationCase& c = GetParam();
+  PlatformOptions po;
+  po.dynamic_areas = c.areas;
+  if (c.fault != nullptr) {
+    fault::FaultSpec spec;
+    ASSERT_TRUE(fault::FaultSpec::parse(c.fault, &spec)) << c.fault;
+    po.fault_plan.add(spec);
+  }
+  Platform64 p{po};
+  ServeOptions so;
+  so.batch.max_batch = c.max_batch;
+  const ServeReport r =
+      c.open_loop
+          ? serve::run_open_workload(
+                p, *serve::open_workload_by_name("open-steady"), 3, so)
+          : serve::run_workload(p, *serve::workload_by_name("mixed"), 3, so);
+
+  EXPECT_GT(r.submitted, 0);
+  EXPECT_EQ(r.served_hw + r.degraded + r.expired + r.failed + r.shed +
+                r.unservable,
+            r.submitted);
+  // Every admitted or shed request left exactly one completion.
+  EXPECT_EQ(static_cast<std::int64_t>(r.completions.size()),
+            r.submitted - r.unservable);
+
+  const auto counter = [&p](const char* name) -> std::int64_t {
+    const auto& cs = p.sim().stats().counters();
+    const auto it = cs.find(name);
+    return it == cs.end() ? 0 : it->second.value();
+  };
+  EXPECT_EQ(r.submitted, counter("serve.submitted"));
+  EXPECT_EQ(r.admitted, counter("serve.admitted"));
+  EXPECT_EQ(r.shed, counter("serve.shed"));
+  EXPECT_EQ(r.unservable, counter("serve.unservable"));
+  EXPECT_EQ(r.expired, counter("serve.expired"));
+  EXPECT_EQ(r.served_hw, counter("serve.hw"));
+  EXPECT_EQ(r.degraded, counter("serve.degraded"));
+  EXPECT_EQ(r.failed, counter("serve.failed"));
+  EXPECT_EQ(r.deadline_miss, counter("serve.deadline_miss"));
+  EXPECT_EQ(r.watchdog_aborts, counter("serve.watchdog_aborts"));
+  EXPECT_EQ(r.fail_stops, counter("serve.fail_stop"));
+  EXPECT_EQ(r.breaker_opens, counter("serve.breaker_opens"));
+  EXPECT_EQ(r.breaker_probes, counter("serve.breaker_probes"));
+  EXPECT_EQ(r.breaker_closes, counter("serve.breaker_closes"));
+  EXPECT_EQ(r.slo_breaches, counter("serve.slo.breaches"));
+  EXPECT_EQ(r.batches, counter("serve.batch.count"));
+  EXPECT_EQ(r.coalesced, counter("serve.batch.coalesced"));
+}
+
+std::vector<ConservationCase> conservation_cases() {
+  std::vector<ConservationCase> out;
+  for (const bool open_loop : {false, true}) {
+    for (const int areas : {1, 2}) {
+      for (const int max_batch : {1, 8}) {
+        for (const char* fault :
+             {static_cast<const char*>(nullptr), "icap:stuck@15000:1",
+              "dma:every@40:1"}) {
+          out.push_back({open_loop, areas, max_batch, fault});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Conservation, ServeConservation,
+                         testing::ValuesIn(conservation_cases()),
+                         conservation_name);
+
 }  // namespace
 }  // namespace rtr
