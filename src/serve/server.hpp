@@ -463,6 +463,8 @@ class TaskServer {
       }
     }
 
+    // The prefetcher warms plans off the simulated clock; the stage
+    // histogram pins that invariant (always 0) into the §4 decomposition.
     const sim::SimTime prefetch_start = now();
     prefetch_next(batch.front());
     stage_sample(stages(behavior).prefetch, (now() - prefetch_start).ps());
